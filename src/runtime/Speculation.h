@@ -143,7 +143,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -463,20 +462,6 @@ private:
   TraceContext TraceCtx;
 };
 
-/// A shared cancellation flag (cooperative, like .NET's).
-class CancellationToken {
-public:
-  CancellationToken() : Flag(std::make_shared<std::atomic<bool>>(false)) {}
-  void cancel() const { Flag->store(true, std::memory_order_relaxed); }
-  bool isCancelled() const {
-    return Flag->load(std::memory_order_relaxed);
-  }
-  const std::atomic<bool> *raw() const { return Flag.get(); }
-
-private:
-  std::shared_ptr<std::atomic<bool>> Flag;
-};
-
 namespace detail {
 /// The cancellation context of the speculative task running on this
 /// thread: its cancel flag, the enclosing run's cooperative deadline
@@ -498,28 +483,13 @@ struct CancelContext {
 /// code), and the accessor keeps the hot sites to one call.
 CancelContext &cancelContext();
 
-/// RAII: marks the current thread as running under \p Token, optionally
-/// with a deadline and an observation flag for `currentTaskCancelled()`.
+/// RAII: marks the current thread as running a speculative attempt whose
+/// cancel flag is \p Flag, with \p Deadline (an enclosing run's tighter
+/// deadline stays binding) and \p Observed as the observation flag for
+/// `currentTaskCancelled()`. The flag lives in the attempt record, which
+/// the run keeps alive until the attempt retires.
 class CancelScope {
 public:
-  explicit CancelScope(const CancellationToken &Token)
-      : Saved(cancelContext()) {
-    CancelContext &C = cancelContext();
-    C.Flag = Token.raw();
-    C.Observed = nullptr;
-  }
-  CancelScope(const CancellationToken &Token,
-              std::chrono::steady_clock::time_point Deadline,
-              std::atomic<bool> *Observed)
-      : CancelScope(Token) {
-    CancelContext &C = cancelContext();
-    // An enclosing run's deadline stays binding inside a nested run.
-    C.Deadline = std::min(Saved.Deadline, Deadline);
-    C.Observed = Observed;
-  }
-  /// Raw-flag form for the pooled attempt lifecycle: the flag lives in
-  /// recycled attempt storage, so there is no token to share ownership
-  /// with — the run guarantees the attempt outlives the scope.
   CancelScope(const std::atomic<bool> *Flag,
               std::chrono::steady_clock::time_point Deadline,
               std::atomic<bool> *Observed)
@@ -571,9 +541,17 @@ template <typename T, typename U> struct SegAttempt {
   /// The index reported to telemetry and finalizers (iteration index for
   /// plain iterate, segment ordinal for the chunked forms).
   int64_t UserIdx = 0;
-  /// Corrective attempts wait for their slot's prior attempt before
-  /// running, so attempts of one segment never run concurrently.
+  /// A corrective attempt's predecessor: the slot's prior attempt. The
+  /// corrective runs only after the predecessor's body is over, so
+  /// attempts of one segment never run concurrently.
   SegAttempt *After = nullptr;
+  /// A corrective parked on this attempt by its chainer (see
+  /// launchCorrective), or `this` once this attempt's body is over and
+  /// stamped. Whoever comes second submits the corrective, so no task
+  /// ever blocks on a predecessor — a blocked wait could sit above that
+  /// very predecessor on one thread's stack (a nested run's helping can
+  /// pop it there), or close a cycle across two threads.
+  std::atomic<SegAttempt *> Successor{nullptr};
   /// Body wall time in ns, measured only when the autotuner is armed.
   int64_t BodyNs = 0;
   /// Which freelist the attempt returns to at wave end.
@@ -612,11 +590,51 @@ template <typename T, typename U> struct SegSlot {
   std::atomic<SegAttempt<T, U> *> Items[2] = {};
 };
 
-/// Lock-free synchronisation of one iterate() run. `attemptFinished()`
-/// is one atomic decrement plus a conditional wake through the
-/// eventcount (the old IterRun took a mutex and `notify_all`ed *while
-/// holding it* on every completion, so woken waiters immediately blocked
-/// on the held lock).
+/// The runtime's one blocking wait: returns true once \p Ready() holds,
+/// false if \p Deadline passes first (time_point::max() = none). While
+/// \p Queued() reports that the awaited attempt still sits in an executor
+/// queue, the caller runs queued tasks instead of sleeping — the liveness
+/// argument for nested runs on a shared executor and for executors whose
+/// every worker is blocked: the awaited task is either running on some
+/// thread or gets run right here. A helped task that overran the
+/// deadline expires the wait, whatever it brought about. Otherwise the
+/// caller parks on \p EC, whose notifier makes \p Ready()'s state
+/// seq_cst-visible first; the 500 us timeout re-checks the queue and the
+/// deadline.
+template <typename ReadyFn, typename QueuedFn>
+bool helpingWait(SpecExecutor &Ex, EventCount &EC, ReadyFn &&Ready,
+                 QueuedFn &&Queued,
+                 std::chrono::steady_clock::time_point Deadline =
+                     std::chrono::steady_clock::time_point::max()) {
+  const bool HasDeadline =
+      Deadline != std::chrono::steady_clock::time_point::max();
+  auto Expired = [&] {
+    return HasDeadline && std::chrono::steady_clock::now() >= Deadline;
+  };
+  for (;;) {
+    if (Ready())
+      return true;
+    if (Expired())
+      return false;
+    if (Queued() && Ex.tryRunOneTask()) {
+      if (Expired())
+        return false;
+      continue;
+    }
+    const uint64_t Ticket = EC.prepareWait();
+    if (Ready()) {
+      EC.cancelWait();
+      return true;
+    }
+    EC.waitFor(Ticket, std::chrono::microseconds(500));
+  }
+}
+
+/// Lock-free synchronisation of one speculative run (an iterate() engine
+/// or one apply()). `attemptFinished()` is one atomic decrement plus a
+/// conditional wake through the eventcount, and `retire()` is how the
+/// run's owner waits out its attempts before destroying what their tasks
+/// reference.
 struct SegRunSync {
   EventCount EC;
   /// Attempts queued or running. seq_cst: participates in the eventcount
@@ -631,18 +649,18 @@ struct SegRunSync {
   /// cancellation tests rely on it).
   std::atomic<bool> Draining{false};
   /// Tasks dispatched by Par-mode chainers. Workers must not touch the
-  /// run's (non-atomic) SpeculationStats, so they count here and the
-  /// validator merges before the run returns.
+  /// run's (non-atomic) SpeculationStats, so they count here and
+  /// retire() merges them.
   std::atomic<int64_t> ChainedTasks{0};
   /// Shield containments and watchdog escalations, counted by workers
   /// (same rule as ChainedTasks: never the non-atomic stats) and merged
-  /// by the validator before the run returns.
+  /// by retire().
   std::atomic<int64_t> ContainedCrashes{0};
   std::atomic<int64_t> RunawayCancels{0};
-  /// Workers inside the decrement-then-notify window below. The run's
-  /// final drain waits for this to reach zero after Outstanding does:
-  /// otherwise the validator could observe Outstanding == 0 and destroy
-  /// this struct while the last worker is still touching EC.
+  /// Workers inside the decrement-then-notify window below. retire()
+  /// waits for this to reach zero after Outstanding does: otherwise the
+  /// owner could observe Outstanding == 0 and destroy this struct while
+  /// the last worker is still touching EC.
   std::atomic<int32_t> Exiting{0};
   /// The validating thread, recorded at run start. runAttempt() sets
   /// ForeignClaim when any *other* thread claims one of the current
@@ -657,7 +675,77 @@ struct SegRunSync {
     EC.notifyAll();
     Exiting.fetch_sub(1, std::memory_order_seq_cst);
   }
+
+  /// Waits until every attempt has retired (a helpingWait() keyed on
+  /// \p Queued) and the last finisher has left attemptFinished() — the
+  /// owner may then destroy this struct — and merges the worker-side
+  /// counts into \p Stats. Not under any deadline: a timed-out run still
+  /// retires every task before throwing, so nothing is ever leaked.
+  template <typename QueuedFn>
+  void retire(SpecExecutor &Ex, SpeculationStats &Stats, QueuedFn &&Queued) {
+    helpingWait(
+        Ex, EC,
+        [this] { return Outstanding.load(std::memory_order_seq_cst) == 0; },
+        Queued);
+    // The window is a handful of instructions.
+    while (Exiting.load(std::memory_order_seq_cst) != 0)
+      std::this_thread::yield();
+    Stats.Tasks += ChainedTasks.load(std::memory_order_relaxed);
+    Stats.ContainedCrashes += ContainedCrashes.load(std::memory_order_relaxed);
+    Stats.RunawayCancels += RunawayCancels.load(std::memory_order_relaxed);
+  }
 };
+
+/// Runs \p Body as a shielded speculative attempt: the per-attempt budget
+/// \p BudgetNs (0 = none) is folded into the attempt's cooperative
+/// deadline, so polling bodies bail on their own, and armed on the
+/// watchdog, which only ever force-abandons bodies that never poll. The
+/// crash/runaway fault probes fire inside the shield before \p Body, so
+/// an injected fault's longjmp skips no constructed locals. Counts a
+/// containment, and a runaway (forced abandonment, or a budget that
+/// expired while the watchdog or the body saw it), into \p Run, traced
+/// against attempt (\p Idx, \p TraceId). Returns true when the shield
+/// contained a fault: the body's partial state must then be dropped. A
+/// throwing body's exception propagates.
+template <typename BodyFn>
+bool shieldedAttempt(BodyFn &&Body, int64_t BudgetNs,
+                     std::atomic<bool> &CancelFlag,
+                     std::atomic<bool> &ObservedCancel, SegRunSync &Run,
+                     FaultPlan *FP, Tracer *Tr, int64_t Idx, uint64_t TraceId,
+                     TraceContext JobCtx) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point BudgetDeadline =
+      BudgetNs > 0 ? Clock::now() + std::chrono::nanoseconds(BudgetNs)
+                   : Clock::time_point::max();
+  CancelScope BudgetScope(&CancelFlag, BudgetDeadline, &ObservedCancel);
+  const CancelContext SavedCC = cancelContext();
+  const ShieldOutcome SO = shieldedCall(BudgetNs, [&] {
+    if (FP) {
+      FP->maybeCrash(FaultSite::CrashInBody);
+      FP->maybeRunaway(FaultSite::RunawayBody);
+    }
+    Body();
+  });
+  const bool Contained = SO.Fault != ContainedFault::None;
+  if (Contained) {
+    // The longjmp skipped every frame between the fault and the shield,
+    // including any nested CancelScope destructors; restore the thread's
+    // cancel context by hand.
+    cancelContext() = SavedCC;
+    Run.ContainedCrashes.fetch_add(1, std::memory_order_relaxed);
+    if (Tr)
+      Tr->record(SpecEventKind::CrashContained, Idx, TraceId, JobCtx);
+  }
+  const bool BudgetExpired = BudgetNs > 0 && Clock::now() >= BudgetDeadline;
+  if (SO.Fault == ContainedFault::Runaway ||
+      (BudgetExpired && (SO.WatchdogCancelled ||
+                         ObservedCancel.load(std::memory_order_relaxed)))) {
+    Run.RunawayCancels.fetch_add(1, std::memory_order_relaxed);
+    if (Tr)
+      Tr->record(SpecEventKind::RunawayCancel, Idx, TraceId, JobCtx);
+  }
+  return Contained;
+}
 
 /// Copies the run's accumulated statistics into the config's
 /// `stats::Snapshot` sink (when set) on every exit path, including
@@ -761,6 +849,15 @@ public:
 private:
   /// apply() engine: fills \p Stats in place so callers observe whatever
   /// was gathered even when the run throws.
+  ///
+  /// The speculative half of rule CHECK, `Consumer(Predictor())`, is one
+  /// attempt on a worker, concurrent with the producer on the calling
+  /// thread. Its record lives in this frame; the task captures one
+  /// pointer (it fits TaskRef's inline storage), so a call makes no heap
+  /// allocation. This is deliberately not a two-segment SegEngine run:
+  /// SegEngine computes predictions on the calling thread before
+  /// dispatch, so the predictor would run before the producer instead of
+  /// beside it, and eagerProducerAbort would have nothing to abort.
   template <typename T, typename ProducerFn, typename PredictorFn,
             typename ConsumerFn, typename Eq>
   static void applyImpl(ProducerFn &&Producer, PredictorFn &&Predictor,
@@ -779,277 +876,186 @@ private:
     const std::chrono::steady_clock::time_point Deadline =
         resolveDeadline(Cfg);
     const uint64_t AId = Tr ? Tr->newAttemptId() : 0;
-
-    struct SpecState {
-      std::mutex M;
-      std::condition_variable CV;
-      std::optional<T> Guess;
-      std::exception_ptr ConsumerErr;
-      bool ConsumerDone = false;
-      /// The speculative consumer actually ran to completion (it may
-      /// still have thrown); false when it was skipped because the guess
-      /// was missing or the attempt was cancelled before it started.
-      bool ConsumerRan = false;
-      CancellationToken Cancel;
-      /// The consumer observed cancellation mid-run (spurious cancel or
-      /// expired deadline): its side effects may be partial, so the
-      /// validated path must re-execute.
-      std::atomic<bool> ObservedCancel{false};
-      /// Shield containments / watchdog escalations in the speculative
-      /// consumer, written by the worker (which must never touch the
-      /// non-atomic SpeculationStats) and merged by the caller.
-      std::atomic<int64_t> Contained{0};
-      std::atomic<int64_t> Runaways{0};
-    };
-    auto State = std::make_shared<SpecState>();
-
     const bool Shield = Cfg.shield();
     const int64_t BudgetNs = Cfg.attemptBudget().count();
     if (Shield)
       installSignalShield();
-    // Merge the worker's containment counters on every exit path; each
-    // path first waits for the consumer's completion publication, which
-    // the worker orders after its final counter stores.
-    struct CrashMergeGuard {
-      SpeculationStats &Stats;
-      SpecState &S;
-      ~CrashMergeGuard() {
-        Stats.ContainedCrashes +=
-            S.Contained.load(std::memory_order_relaxed);
-        Stats.RunawayCancels += S.Runaways.load(std::memory_order_relaxed);
-      }
-    } CrashMerge{Stats, *State};
 
-    ++Stats.Tasks;
-    if (Tr)
-      Tr->record(SpecEventKind::Dispatch, 0, AId, JobCtx);
-    Ex.submit([State, &Predictor, &Consumer, Tr, FP, AId, Deadline, Shield,
-               BudgetNs, JobCtx] {
-      detail::CancelScope Scope(State->Cancel, Deadline,
-                                &State->ObservedCancel);
+    /// Plain fields are written by the worker before the seq_cst store of
+    /// the flag that publishes them — Guess before GuessReady, Err and
+    /// Ran before Done — and read by this thread only after it loads
+    /// that flag true.
+    struct Attempt {
+      std::optional<T> Guess;
+      std::exception_ptr Err;
+      /// The speculative consumer ran to completion (it may still have
+      /// thrown); false when it was skipped — no guess, or cancelled
+      /// before it started — or the shield contained it.
+      bool Ran = false;
+      std::atomic<bool> GuessReady{false};
+      std::atomic<bool> Started{false};
+      std::atomic<bool> Done{false};
+      std::atomic<bool> CancelFlag{false};
+      /// The consumer observed cancellation mid-run (spurious cancel,
+      /// expired deadline or budget): its side effects may be partial,
+      /// so the validated path must re-execute.
+      std::atomic<bool> ObservedCancel{false};
+    } A;
+    detail::SegRunSync Run;
+    auto Queued = [&A] { return !A.Started.load(std::memory_order_seq_cst); };
+    // Every exit retires the attempt before the frame its task references
+    // dies, and merges the worker's shield counts.
+    struct RetireGuard {
+      detail::SegRunSync &Run;
+      SpecExecutor &Ex;
+      SpeculationStats &Stats;
+      decltype(Queued) &Q;
+      ~RetireGuard() { Run.retire(Ex, Stats, Q); }
+    };
+
+    auto Work = [&] {
+      A.Started.store(true, std::memory_order_seq_cst);
+      detail::CancelScope Scope(&A.CancelFlag, Deadline, &A.ObservedCancel);
       if (Tr)
         Tr->record(SpecEventKind::Start, 0, AId, JobCtx);
+      // The worker consumes its own copy: the caller compares A.Guess
+      // concurrently.
       std::optional<T> G;
-      std::exception_ptr Err;
       try {
         if (FP)
           FP->maybeThrow(FaultSite::PredictorThrow);
         G = Predictor();
       } catch (...) {
-        // A failing predictor counts as an unusable guess; the validator
+        // A failing predictor counts as an unusable guess; the caller
         // falls back to the non-speculative path.
-        Err = std::current_exception();
       }
-      {
-        std::unique_lock<std::mutex> Lock(State->M);
-        State->Guess = G;
-      }
-      // Notify with the lock released: a waiter woken while the notifier
-      // still holds the mutex just blocks again on it.
-      State->CV.notify_all();
+      A.Guess = G;
+      A.GuessReady.store(true, std::memory_order_seq_cst);
+      Run.EC.notifyAll();
       // Injection site: trip the attempt's cancellation flag for no
       // reason, right in the window between guess publication and the
       // consumer's decision to run.
       if (FP && FP->shouldFire(FaultSite::SpuriousCancel))
-        State->Cancel.cancel();
-      bool Ran = false;
-      if (G && !State->Cancel.isCancelled()) {
-        Ran = true;
+        A.CancelFlag.store(true, std::memory_order_seq_cst);
+      if (G && !A.CancelFlag.load(std::memory_order_seq_cst)) {
+        A.Ran = true;
         try {
           if (FP)
             FP->maybeThrow(FaultSite::BodyThrow);
-          if (Shield) {
-            // The consumer runs under the signal shield: crashes and
-            // forced runaway abandonments become a discarded attempt
-            // (Ran = false forces the validated re-execution), never a
-            // dead process. Crash/runaway probes fire only here —
-            // inside the shield, before any consumer locals exist. The
-            // budget is folded into the cooperative deadline so polling
-            // consumers bail on their own; the watchdog only handles
-            // the never-polls case.
-            detail::CancelContext SavedCC = detail::cancelContext();
-            ShieldOutcome SO = shieldedCall(BudgetNs, [&] {
-              if (FP) {
-                FP->maybeCrash(FaultSite::CrashInBody);
-                FP->maybeRunaway(FaultSite::RunawayBody);
-              }
-              if (BudgetNs > 0) {
-                detail::CancelScope Budget(
-                    State->Cancel.raw(),
-                    std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(BudgetNs),
-                    &State->ObservedCancel);
-                Consumer(*G);
-              } else {
-                Consumer(*G);
-              }
-            });
-            if (SO.Fault != ContainedFault::None) {
-              // The longjmp skipped the frames between the fault and
-              // here, including any CancelScope destructors; restore
-              // the thread's context by hand.
-              detail::cancelContext() = SavedCC;
-              Ran = false;
-              State->Contained.fetch_add(1, std::memory_order_relaxed);
-              if (Tr)
-                Tr->record(SpecEventKind::CrashContained, 0, AId, JobCtx);
-            }
-            if (SO.Fault == ContainedFault::Runaway || SO.WatchdogCancelled) {
-              State->Runaways.fetch_add(1, std::memory_order_relaxed);
-              if (Tr)
-                Tr->record(SpecEventKind::RunawayCancel, 0, AId, JobCtx);
-            }
-          } else {
-            Consumer(*G);
-          }
+          auto Consume = [&] { Consumer(*G); };
+          if (!Shield)
+            Consume();
+          else if (detail::shieldedAttempt(Consume, BudgetNs, A.CancelFlag,
+                                           A.ObservedCancel, Run, FP, Tr, 0,
+                                           AId, JobCtx))
+            A.Ran = false;
         } catch (...) {
-          Err = std::current_exception();
+          A.Err = std::current_exception();
         }
       }
-      // Record before publishing completion: once ConsumerDone is
-      // visible, applyImpl may return and the tracer may die with it.
+      // Record before publishing completion: once Done is visible the
+      // caller may return, and the tracer may die with it.
       if (Tr)
         Tr->record(SpecEventKind::Finish, 0, AId, JobCtx);
-      {
-        std::unique_lock<std::mutex> Lock(State->M);
-        State->ConsumerErr = Err;
-        State->ConsumerRan = Ran;
-        State->ConsumerDone = true;
-      }
-      // Same hand-off discipline as the guess publication above: publish
-      // under the lock, wake after releasing it.
-      State->CV.notify_all();
-    });
+      A.Done.store(true, std::memory_order_seq_cst);
+      Run.attemptFinished();
+    };
+
+    ++Stats.Tasks;
+    if (Tr)
+      Tr->record(SpecEventKind::Dispatch, 0, AId, JobCtx);
+    Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
+    Ex.submit([W = &Work] { (*W)(); });
+    RetireGuard Retire{Run, Ex, Stats, Queued};
+
+    auto Await = [&](const std::atomic<bool> &Flag,
+                     std::chrono::steady_clock::time_point Until) {
+      return detail::helpingWait(
+          Ex, Run.EC,
+          [&Flag] { return Flag.load(std::memory_order_seq_cst); }, Queued,
+          Until);
+    };
+    // Cancels the speculation and waits for the attempt to finish, so a
+    // re-execution's writes land after the speculative consumer's.
+    auto Abort = [&] {
+      A.CancelFlag.store(true, std::memory_order_seq_cst);
+      if (Tr)
+        Tr->record(SpecEventKind::Cancel, 0, AId, JobCtx);
+      Await(A.Done, std::chrono::steady_clock::time_point::max());
+    };
+    // The deadline expired at a wait: cancel, drain (the drain itself is
+    // not under the deadline), and report the timeout.
+    auto TimeOut = [&] {
+      Abort();
+      if (Tr)
+        Tr->record(SpecEventKind::Timeout, 0, 0, JobCtx);
+      throw SpecTimeoutError(Cfg.deadline());
+    };
 
     std::optional<T> Produced;
-    std::exception_ptr ProducerErr;
     try {
       Produced = Producer();
     } catch (...) {
-      ProducerErr = std::current_exception();
-    }
-    if (ProducerErr) {
       // Abort the speculation; nothing it did is observable under
       // rollback freedom, and its exception (if any) is suppressed.
-      State->Cancel.cancel();
-      if (Tr)
-        Tr->record(SpecEventKind::Cancel, 0, AId, JobCtx);
-      waitConsumer(Ex, *State);
-      std::rethrow_exception(ProducerErr);
+      Abort();
+      throw;
     }
 
     // The check step (paper rule CHECK): compare guess with the product.
-    std::optional<T> Guess;
-    {
-      std::unique_lock<std::mutex> Lock(State->M);
-      if (Cfg.eagerProducerAbort() && !State->Guess &&
-          !State->ConsumerDone) {
-        // Section 3.3: the producer beat the predictor — speculation can
-        // no longer pay off; abort it and go non-speculative. This is
-        // still a resolved prediction point (resolved without a guess).
-        Lock.unlock();
-        ++Stats.Predictions;
-        ++Stats.FailedPredictions;
-        ++Stats.Reexecutions;
-        State->Cancel.cancel();
-        if (Tr) {
-          Tr->record(SpecEventKind::Cancel, 0, AId, JobCtx);
-          Tr->record(SpecEventKind::Reexecute, 0, 0, JobCtx);
-        }
-        waitConsumer(Ex, *State);
-        Consumer(*Produced);
-        if (Tr)
-          Tr->record(SpecEventKind::Finalize, 0, 0, JobCtx);
-        return;
-      }
-      if (!specWaitUntil(Ex, Lock, State->CV,
-                         [&] {
-                           return State->Guess.has_value() ||
-                                  State->ConsumerDone;
-                         },
-                         Deadline)) {
-        // Deadline expired while waiting for the predictor: cancel, drain
-        // (the drain itself is not under the deadline — the task must
-        // retire before its captures die), and report the timeout.
-        Lock.unlock();
-        State->Cancel.cancel();
-        if (Tr)
-          Tr->record(SpecEventKind::Cancel, 0, AId, JobCtx);
-        waitConsumer(Ex, *State);
-        if (Tr)
-          Tr->record(SpecEventKind::Timeout, 0, 0, JobCtx);
-        throw SpecTimeoutError(Cfg.deadline());
-      }
-      Guess = State->Guess;
-    }
+    // Section 3.3 (eagerProducerAbort): when the producer beat the
+    // predictor, speculation can no longer pay off — the prediction point
+    // resolves without a guess instead of waiting for one.
+    const bool Eager =
+        Cfg.eagerProducerAbort() &&
+        !A.GuessReady.load(std::memory_order_seq_cst);
+    if (!Eager && !Await(A.GuessReady, Deadline))
+      TimeOut();
     ++Stats.Predictions;
+    const bool HaveGuess = !Eager && A.Guess.has_value();
     bool CmpThrew = false;
     bool GuessCorrect =
-        Guess && guardedEqual(Equal, FP, *Produced, *Guess, CmpThrew);
+        HaveGuess && guardedEqual(Equal, FP, *Produced, *A.Guess, CmpThrew);
     // Injection site: discard a correct guess, forcing the
     // misprediction/re-execution path.
     if (GuessCorrect && FP && FP->shouldFire(FaultSite::ForceMispredict))
       GuessCorrect = false;
     if (GuessCorrect) {
-      {
-        std::unique_lock<std::mutex> Lock(State->M);
-        if (!specWaitUntil(Ex, Lock, State->CV,
-                           [&] { return State->ConsumerDone; }, Deadline)) {
-          Lock.unlock();
-          State->Cancel.cancel();
-          if (Tr)
-            Tr->record(SpecEventKind::Cancel, 0, AId, JobCtx);
-          waitConsumer(Ex, *State);
-          if (Tr)
-            Tr->record(SpecEventKind::Timeout, 0, 0, JobCtx);
-          throw SpecTimeoutError(Cfg.deadline());
-        }
-      }
+      if (!Await(A.Done, Deadline))
+        TimeOut();
       // Accept only a consumer that ran to completion without being
       // cancelled and without *observing* cancellation — a spuriously
       // cancelled or deadline-bailed consumer may have acted partially.
-      const bool Usable =
-          State->ConsumerRan && !State->Cancel.isCancelled() &&
-          !State->ObservedCancel.load(std::memory_order_relaxed);
-      if (Usable) {
+      if (A.Ran && !A.CancelFlag.load(std::memory_order_seq_cst) &&
+          !A.ObservedCancel.load(std::memory_order_relaxed)) {
         if (Tr)
           Tr->record(SpecEventKind::ValidateAccept, 0, AId, JobCtx);
-        if (State->ConsumerErr)
-          std::rethrow_exception(State->ConsumerErr);
+        if (A.Err)
+          std::rethrow_exception(A.Err);
         if (Tr)
           Tr->record(SpecEventKind::Finalize, 0, 0, JobCtx);
         return;
       }
       // The guess was right but the speculative run was robbed of it:
-      // re-execute with the real value.
-      ++Stats.Reexecutions;
-      State->Cancel.cancel();
-      if (Tr)
-        Tr->record(SpecEventKind::Reexecute, 0, 0, JobCtx);
-      Consumer(*Produced);
-      if (Tr)
-        Tr->record(SpecEventKind::Finalize, 0, 0, JobCtx);
-      return;
-    }
-    // Misprediction (or a predictor/comparator that produced no usable
-    // comparison): cancel the speculative consumer and re-execute with
-    // the correct value (rule CHECK's `cancel tc; vc xp`). Nothing was
-    // reliably compared when the predictor or comparator threw — that is
-    // a failed prediction, not a misprediction.
-    if (!Guess || CmpThrew) {
-      ++Stats.FailedPredictions;
+      // re-execute with the real value below.
     } else {
-      ++Stats.Mispredictions;
-      if (Tr)
-        Tr->record(SpecEventKind::Mispredict, 0, AId, JobCtx);
+      // Misprediction (or a predictor/comparator that produced no usable
+      // comparison): cancel the speculative consumer and re-execute with
+      // the correct value (rule CHECK's `cancel tc; vc xp`). Nothing was
+      // reliably compared when there was no guess or the comparator
+      // threw — that is a failed prediction, not a misprediction.
+      if (!HaveGuess || CmpThrew) {
+        ++Stats.FailedPredictions;
+      } else {
+        ++Stats.Mispredictions;
+        if (Tr)
+          Tr->record(SpecEventKind::Mispredict, 0, AId, JobCtx);
+      }
+      Abort();
     }
     ++Stats.Reexecutions;
-    State->Cancel.cancel();
-    if (Tr) {
-      Tr->record(SpecEventKind::Cancel, 0, AId, JobCtx);
+    if (Tr)
       Tr->record(SpecEventKind::Reexecute, 0, 0, JobCtx);
-    }
-    waitConsumer(Ex, *State);
     Consumer(*Produced);
     if (Tr)
       Tr->record(SpecEventKind::Finalize, 0, 0, JobCtx);
@@ -1553,37 +1559,16 @@ private:
         if (TimedOut || FirstValidErr)
           break; // the drain below retires whatever is still in flight
         if (!Degraded)
-          autotuneAdjust(NextB);
+          autotuneAdjust();
         recycleWave();
       }
 
       // Cancel whatever speculation is still in flight and wait for
       // every attempt to retire (their tasks reference this engine).
-      // This drain is *not* under the deadline — a timed-out run still
-      // retires every task before throwing, so nothing is ever leaked.
       Run.Draining.store(true, std::memory_order_seq_cst);
       for (int64_t K = 0; K < WaveCount; ++K)
         cancelSlot(K, WaveUser[static_cast<size_t>(K)]);
-      while (Run.Outstanding.load(std::memory_order_seq_cst) != 0) {
-        if (Ex.tryRunOneTask())
-          continue;
-        const uint64_t Ticket = Run.EC.prepareWait();
-        if (Run.Outstanding.load(std::memory_order_seq_cst) == 0) {
-          Run.EC.cancelWait();
-          break;
-        }
-        Run.EC.waitFor(Ticket, std::chrono::microseconds(500));
-      }
-      // Outstanding is zero, but the last finisher may still be inside
-      // its decrement-then-notify window, touching Run.EC. Bounded spin:
-      // the window is a handful of instructions.
-      while (Run.Exiting.load(std::memory_order_seq_cst) != 0)
-        std::this_thread::yield();
-      Stats.Tasks += Run.ChainedTasks.load(std::memory_order_relaxed);
-      Stats.ContainedCrashes +=
-          Run.ContainedCrashes.load(std::memory_order_relaxed);
-      Stats.RunawayCancels +=
-          Run.RunawayCancels.load(std::memory_order_relaxed);
+      Run.retire(Ex, Stats, [] { return true; });
       // The segmentation the run actually ended on — after any autotune
       // resizes and regardless of how the run exits. DegradedChunks (and
       // chunk ordinals generally) count segments of *this* dynamic grid,
@@ -1702,9 +1687,7 @@ private:
             std::memory_order_relaxed);
         if (Tr)
           Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
-        // The thunk captures two pointers — it fits TaskRef's inline
-        // storage, so a steady-state dispatch never allocates.
-        Ex.submit([this, A] { attemptTask(A); });
+        submitAttempt(A);
       }
     }
 
@@ -1725,6 +1708,7 @@ private:
       A->ObservedCancel.store(false, std::memory_order_relaxed);
       A->Started.store(false, std::memory_order_relaxed);
       A->Done.store(false, std::memory_order_relaxed);
+      A->Successor.store(nullptr, std::memory_order_relaxed);
       A->TraceId = Tr ? Tr->newAttemptId() : 0;
     }
 
@@ -1737,22 +1721,18 @@ private:
 
     /// Runs one attempt, then (in Par mode) chains a corrective attempt
     /// for the next slot if our output contradicts its prediction. A
-    /// corrective attempt first waits for the slot's prior attempt to
-    /// complete, so attempts of one segment never write the same
-    /// locations concurrently, and skips its body if it was cancelled
-    /// meanwhile. (The wait is deadlock-free: it is a *helping* wait —
-    /// if the awaited attempt is still queued, the waiting worker
-    /// executes queued tasks, eventually including that attempt itself.)
+    /// corrective is launched only once the slot's prior attempt is over
+    /// (launchCorrective), so attempts of one segment never write the
+    /// same locations concurrently; it skips its body if it was
+    /// cancelled meanwhile.
     void runAttempt(Attempt *A) {
-      // Claimed before the corrective's predecessor wait: the attempt is
-      // now driven by this thread, so the validator no longer needs to
-      // help on its behalf.
+      // The attempt is now driven by this thread, so the validator no
+      // longer needs to help on its behalf.
       A->Started.store(true, std::memory_order_seq_cst);
       if (std::this_thread::get_id() != Run.ValidatorId)
         Run.ForeignClaim.store(true, std::memory_order_relaxed);
       bool Skip = false;
       if (A->After) {
-        waitAttemptDone(A->After);
         Skip = A->CancelFlag.load(std::memory_order_seq_cst);
       } else if (Run.Draining.load(std::memory_order_relaxed) &&
                  A->CancelFlag.load(std::memory_order_seq_cst)) {
@@ -1797,57 +1777,15 @@ private:
           };
           if (!Shield) {
             RunBody();
-          } else {
-            const int64_t Budget =
-                CurBudgetNs.load(std::memory_order_relaxed);
-            Clock::time_point BudgetDeadline = Clock::time_point::max();
-            if (Budget > 0)
-              BudgetDeadline =
-                  Clock::now() + std::chrono::nanoseconds(Budget);
-            // Fold the budget into the cooperative deadline so polling
-            // bodies bail on their own once it expires; the watchdog
-            // only ever has to force-abandon bodies that never poll.
-            detail::CancelScope BudgetScope(&A->CancelFlag, BudgetDeadline,
-                                            &A->ObservedCancel);
-            detail::CancelContext SavedCC = detail::cancelContext();
-            // Crash/runaway probes fire only here — inside the shield,
-            // before Init() runs, so an injected fault's longjmp skips
-            // no constructed locals.
-            ShieldOutcome SO = shieldedCall(Budget, [&] {
-              if (FP) {
-                FP->maybeCrash(FaultSite::CrashInBody);
-                FP->maybeRunaway(FaultSite::RunawayBody);
-              }
-              RunBody();
-            });
-            if (SO.Fault != ContainedFault::None) {
-              // The longjmp skipped every frame between the fault and
-              // the shield (no destructors ran there); drop whatever
-              // partial state escaped and restore the thread's cancel
-              // context, which a skipped nested scope may have left
-              // stale.
-              detail::cancelContext() = SavedCC;
-              Out.reset();
-              Local.reset();
-              Err = nullptr;
-              Crashed = true;
-              A->CancelFlag.store(true, std::memory_order_seq_cst);
-              Run.ContainedCrashes.fetch_add(1, std::memory_order_relaxed);
-              if (Tr)
-                Tr->record(SpecEventKind::CrashContained, A->UserIdx,
-                           A->TraceId, JobCtx);
-            }
-            const bool BudgetExpired =
-                Budget > 0 && Clock::now() >= BudgetDeadline;
-            if (SO.Fault == ContainedFault::Runaway ||
-                (BudgetExpired &&
-                 (SO.WatchdogCancelled ||
-                  A->ObservedCancel.load(std::memory_order_relaxed)))) {
-              Run.RunawayCancels.fetch_add(1, std::memory_order_relaxed);
-              if (Tr)
-                Tr->record(SpecEventKind::RunawayCancel, A->UserIdx,
-                           A->TraceId, JobCtx);
-            }
+          } else if (detail::shieldedAttempt(
+                         RunBody, CurBudgetNs.load(std::memory_order_relaxed),
+                         A->CancelFlag, A->ObservedCancel, Run, FP, Tr,
+                         A->UserIdx, A->TraceId, JobCtx)) {
+            // Drop whatever partial state escaped the contained body.
+            Out.reset();
+            Local.reset();
+            Crashed = true;
+            A->CancelFlag.store(true, std::memory_order_seq_cst);
           }
         } catch (...) {
           Err = std::current_exception();
@@ -1875,6 +1813,10 @@ private:
       A->Crashed = Crashed;
       A->FinishStamp =
           Run.FinishCounter.fetch_add(1, std::memory_order_relaxed) + 1;
+      // Our writes are over and stamped: a corrective parked on us may
+      // run now. Read before Done — once Done is visible this attempt may
+      // be recycled.
+      Attempt *Parked = A->Successor.exchange(A, std::memory_order_seq_cst);
       A->Done.store(true, std::memory_order_seq_cst);
       if (Tr)
         Tr->record(SpecEventKind::Finish, MyUser, MyTrace, JobCtx);
@@ -1885,10 +1827,28 @@ private:
           Tr->record(SpecEventKind::Dispatch, Chained->UserIdx,
                      Chained->TraceId, JobCtx);
         }
-        Attempt *CA = Chained;
-        Ex.submit([this, CA] { attemptTask(CA); });
+        launchCorrective(Chained);
       }
+      if (Parked)
+        submitAttempt(Parked);
       // Our own completion is signalled by the attemptTask wrapper.
+    }
+
+    void submitAttempt(Attempt *A) {
+      // The thunk captures two pointers — it fits TaskRef's inline
+      // storage, so a steady-state dispatch never allocates.
+      Ex.submit([this, A] { attemptTask(A); });
+    }
+
+    /// Submits corrective \p CA now if its predecessor's body is over;
+    /// otherwise parks it on the predecessor, whose completion submits
+    /// it (see SegAttempt::Successor).
+    void launchCorrective(Attempt *CA) {
+      Attempt *Expected = nullptr;
+      if (CA->After && CA->After->Successor.compare_exchange_strong(
+                           Expected, CA, std::memory_order_seq_cst))
+        return;
+      submitAttempt(CA);
     }
 
     /// Appends a corrective attempt with input \p OutVal to slot \p NK if
@@ -2098,23 +2058,10 @@ private:
       }
     }
 
-    /// Worker-side helping wait for a corrective attempt's predecessor.
-    void waitAttemptDone(Attempt *Dep) {
-      while (!Dep->Done.load(std::memory_order_seq_cst)) {
-        if (Ex.tryRunOneTask())
-          continue;
-        const uint64_t Ticket = Run.EC.prepareWait();
-        if (Dep->Done.load(std::memory_order_seq_cst)) {
-          Run.EC.cancelWait();
-          return;
-        }
-        Run.EC.waitFor(Ticket, std::chrono::microseconds(500));
-      }
-    }
-
     /// The attempt the validator may accept for slot \p K, or nullptr:
     /// the last attempt that actually executed (skipped correctives —
-    /// cancelled during their pre-wait — wrote nothing and don't count),
+    /// cancelled before they were launched — wrote nothing and don't
+    /// count),
     /// provided it ran with the correct input and was neither cancelled
     /// nor observed cancellation. The slot is quiesced when called.
     Attempt *acceptableAttempt(int64_t K, bool ForceReexec,
@@ -2206,7 +2153,7 @@ private:
     /// sooner) or when bodies overshoot the target (lost parallelism);
     /// double it when bodies run far under the target (per-attempt
     /// overhead dominating).
-    void autotuneAdjust(int64_t NextB) {
+    void autotuneAdjust() {
       if (WaveMeasured == 0)
         return;
       const double AvgNs = static_cast<double>(WaveNs) / WaveMeasured;
@@ -2243,9 +2190,7 @@ private:
           CurChunk = NewChunk;
           // Telemetry: the event's index is the *new* chunk size, so a
           // trace shows the size trajectory. 0 attempt id: this is a
-          // run-level decision, not tied to an attempt. NextB unused
-          // beyond documentation value for debuggers.
-          (void)NextB;
+          // run-level decision, not tied to an attempt.
           if (Tr)
             Tr->record(SpecEventKind::Autotune, CurChunk, 0, JobCtx);
         }
@@ -2501,61 +2446,6 @@ private:
       Threw = true;
       return false;
     }
-  }
-
-  /// Waits until \p Pred holds, helping the executor when the calling
-  /// thread is one of its workers: instead of idling it drains queued
-  /// tasks (its own deque, the injection deque, steals) between polls.
-  /// This is what makes waits *inside* speculative tasks — the corrective
-  /// pre-wait, nested runs' quiesce/drain waits — deadlock-free on a
-  /// shared executor: the tasks the wait depends on are either running on
-  /// other threads or queued, and queued tasks get executed right here.
-  /// On non-worker threads (a top-level caller) this is a plain wait; the
-  /// executor's own workers make progress independently.
-  ///
-  /// \p Lock must hold the mutex guarding \p Pred's state; it is released
-  /// while a helped task runs. The 500us timeout is a safety net for task
-  /// submissions that are not covered by a \p CV notification.
-  template <typename PredT>
-  static void specWait(SpecExecutor &Ex, std::unique_lock<std::mutex> &Lock,
-                       std::condition_variable &CV, PredT Pred) {
-    specWaitUntil(Ex, Lock, CV, std::move(Pred),
-                  std::chrono::steady_clock::time_point::max());
-  }
-
-  /// specWait() with a deadline: returns false — with \p Pred still false
-  /// and the lock held — as soon as \p Deadline passes, true when \p Pred
-  /// held. time_point::max() means no deadline (plain specWait).
-  template <typename PredT>
-  static bool specWaitUntil(SpecExecutor &Ex,
-                            std::unique_lock<std::mutex> &Lock,
-                            std::condition_variable &CV, PredT Pred,
-                            std::chrono::steady_clock::time_point Deadline) {
-    const bool HasDeadline =
-        Deadline != std::chrono::steady_clock::time_point::max();
-    if (!Ex.onWorkerThread()) {
-      if (!HasDeadline) {
-        CV.wait(Lock, Pred);
-        return true;
-      }
-      return CV.wait_until(Lock, Deadline, Pred);
-    }
-    while (!Pred()) {
-      if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
-        return false;
-      Lock.unlock();
-      bool Ran = Ex.tryRunOneTask();
-      Lock.lock();
-      if (!Ran)
-        CV.wait_for(Lock, std::chrono::microseconds(500), Pred);
-    }
-    return true;
-  }
-
-  template <typename SpecState>
-  static void waitConsumer(SpecExecutor &Ex, SpecState &State) {
-    std::unique_lock<std::mutex> Lock(State.M);
-    specWait(Ex, Lock, State.CV, [&] { return State.ConsumerDone; });
   }
 };
 

@@ -318,6 +318,40 @@ TEST(ZeroAlloc, SteadyStateChunkIterationDoesNotTouchTheHeap) {
       << "steady-state chunk iteration allocated";
 }
 
+// The same contract for apply(): the attempt record lives on the
+// caller's stack and the task thunk captures one pointer, so once the
+// executor's rings are warm a call performs zero heap allocations.
+TEST(ZeroAlloc, SteadyStateApplyDoesNotTouchTheHeap) {
+  const std::shared_ptr<SpecExecutor> Ex = SpecExecutor::create(2);
+  const SpecConfig Cfg = SpecConfig().executor(Ex);
+  std::atomic<int64_t> Sum{0};
+  auto ApplyOnce = [&](int I) {
+    // Every third call mispredicts, covering the cancel-and-re-execute
+    // path as well as acceptance.
+    return Speculation::apply<int>(
+        [I] { return I; }, [I] { return I % 3 == 0 ? -1 : I; },
+        [&Sum](int V) {
+          if (V >= 0) // the mispredicted speculative run adds nothing
+            Sum.fetch_add(V, std::memory_order_relaxed);
+        },
+        Cfg);
+  };
+  for (int I = 0; I < 200; ++I)
+    ApplyOnce(I);
+
+  const int Calls = 1000;
+  int64_t Mispredictions = 0;
+  Sum.store(0);
+  const int64_t Mark = GAllocCount.load();
+  GCountAllocs.store(true, std::memory_order_relaxed);
+  for (int I = 0; I < Calls; ++I)
+    Mispredictions += ApplyOnce(I).Stats.Mispredictions;
+  GCountAllocs.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(allocsSinceMark(Mark), 0) << "steady-state apply allocated";
+  EXPECT_EQ(Sum.load(), int64_t(Calls) * (Calls - 1) / 2);
+  EXPECT_EQ(Mispredictions, (Calls + 2) / 3);
+}
+
 //===----------------------------------------------------------------------===//
 // Autotuner
 //===----------------------------------------------------------------------===//

@@ -669,6 +669,39 @@ TEST(Shield, PollingBodyOverBudgetBailsCooperatively) {
   EXPECT_EQ(R.Stats.ContainedCrashes, 0);
 }
 
+TEST(Shield, ApplyPollingConsumerOverBudgetBailsCooperatively) {
+  // apply()'s twin of the test above: a speculative consumer that polls
+  // past its attempt budget bails with a partial result, which is never
+  // accepted — the consumer re-executes with the produced value, and the
+  // budget expiry counts as a runaway however the watchdog's poll lines
+  // up with the bail.
+  std::atomic<int> Bailed{0};
+  std::atomic<int> Completed{0};
+  std::atomic<int> Sum{0};
+  auto R = Speculation::apply<int>(
+      /*Producer=*/[] { return 5; },
+      /*Predictor=*/[] { return 5; },
+      /*Consumer=*/
+      [&](int V) {
+        for (int Step = 0; Step < 40; ++Step) {
+          if (currentTaskCancelled()) {
+            ++Bailed;
+            return; // partial: must never be accepted
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        ++Completed;
+        Sum += V;
+      },
+      SpecConfig().threads(2).attemptBudget(std::chrono::milliseconds(10)));
+  EXPECT_EQ(Bailed.load(), 1);
+  EXPECT_EQ(Completed.load(), 1);
+  EXPECT_EQ(Sum.load(), 5);
+  EXPECT_EQ(R.Stats.Reexecutions, 1);
+  EXPECT_GE(R.Stats.RunawayCancels, 1);
+  EXPECT_EQ(R.Stats.ContainedCrashes, 0);
+}
+
 TEST(Shield, ApplyContainsConsumerCrash) {
   FaultPlan Plan(88);
   Plan.arm(FaultSite::CrashInBody, 1.0);

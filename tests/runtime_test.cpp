@@ -389,6 +389,40 @@ TEST(Apply, EagerProducerAbortOnSharedExecutor) {
                std::runtime_error);
 }
 
+TEST(Apply, CompletesWhenEveryWorkerIsBlocked) {
+  // The executor's only worker is held until apply() returns, so no
+  // worker can ever claim the speculative attempt: the caller must help
+  // with its own queued attempt instead of sleeping on it. The wait is
+  // bounded — on timeout the worker is released so the test fails
+  // instead of hanging.
+  SpecExecutor Ex(1);
+  std::atomic<bool> Held{false}, Release{false}, Returned{false};
+  Ex.submit([&] {
+    Held = true;
+    while (!Release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  while (!Held.load())
+    std::this_thread::yield();
+  std::atomic<int> Seen{0};
+  std::thread Caller([&] {
+    Speculation::apply<int>([] { return 3; }, [] { return 3; },
+                            [&Seen](int V) { Seen = V; },
+                            SpecConfig().executor(Ex));
+    Returned = true;
+  });
+  const auto Limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Returned.load() && std::chrono::steady_clock::now() < Limit)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const bool CompletedWhileBlocked = Returned.load();
+  Release = true;
+  Caller.join();
+  EXPECT_TRUE(CompletedWhileBlocked)
+      << "apply() waited on a worker that could never run its attempt";
+  EXPECT_EQ(Seen.load(), 3);
+}
+
 TEST(Apply, UnitEncodingOfParallelComposition) {
   // The paper: e1 || e2 is spec with a unit prediction. Model unit as a
   // trivially-equal int.
