@@ -13,15 +13,19 @@ using namespace specpar;
 using namespace specpar::analysis;
 
 SymExpr specpar::analysis::operator+(const SymExpr &A, const SymExpr &B) {
+  if (A.isOverflow() || B.isOverflow())
+    return SymExpr::overflow();
   if (A.isPosInf() || B.isPosInf())
     return SymExpr::posInf();
   if (A.isNegInf() || B.isNegInf())
     return SymExpr::negInf();
   SymExpr R = A;
-  R.Const += B.Const;
+  if (__builtin_add_overflow(R.Const, B.Const, &R.Const))
+    return SymExpr::overflow();
   for (const auto &[Var, Coeff] : B.Coeffs) {
     int64_t &C = R.Coeffs[Var];
-    C += Coeff;
+    if (__builtin_add_overflow(C, Coeff, &C))
+      return SymExpr::overflow();
     if (C == 0)
       R.Coeffs.erase(Var);
   }
@@ -29,15 +33,14 @@ SymExpr specpar::analysis::operator+(const SymExpr &A, const SymExpr &B) {
 }
 
 SymExpr specpar::analysis::operator-(const SymExpr &A, const SymExpr &B) {
+  if (A.isOverflow() || B.isOverflow())
+    return SymExpr::overflow();
   if (B.isPosInf())
     return SymExpr::negInf();
   if (B.isNegInf())
     return SymExpr::posInf();
-  SymExpr Neg = SymExpr::constant(0);
-  Neg.Const = -B.Const;
-  for (const auto &[Var, Coeff] : B.Coeffs)
-    Neg.Coeffs[Var] = -Coeff;
-  return A + Neg;
+  std::optional<SymExpr> Neg = SymExpr::mul(SymExpr::constant(-1), B);
+  return Neg ? A + *Neg : SymExpr::overflow();
 }
 
 std::optional<SymExpr> SymExpr::mul(const SymExpr &A, const SymExpr &B) {
@@ -55,19 +58,22 @@ std::optional<SymExpr> SymExpr::mul(const SymExpr &A, const SymExpr &B) {
   }
   SymExpr R;
   int64_t K = Scalar->Const;
-  R.Const = Linear->Const * K;
+  if (__builtin_mul_overflow(Linear->Const, K, &R.Const))
+    return overflow();
   if (K != 0)
     for (const auto &[Var, Coeff] : Linear->Coeffs)
-      R.Coeffs[Var] = Coeff * K;
+      if (__builtin_mul_overflow(Coeff, K, &R.Coeffs[Var]))
+        return overflow();
   return R;
 }
 
 std::optional<int64_t> SymExpr::differenceFrom(const SymExpr &B) const {
   if (!isFinite() || !B.isFinite())
     return std::nullopt;
-  if (Coeffs != B.Coeffs)
+  int64_t D;
+  if (Coeffs != B.Coeffs || __builtin_sub_overflow(Const, B.Const, &D))
     return std::nullopt;
-  return Const - B.Const;
+  return D;
 }
 
 SymExpr SymExpr::substitute(const lang::Binding *Var,
@@ -93,6 +99,8 @@ std::string SymExpr::str() const {
     return "+inf";
   if (isNegInf())
     return "-inf";
+  if (isOverflow())
+    return "overflow";
   std::string S;
   for (const auto &[Var, Coeff] : Coeffs) {
     if (!S.empty())

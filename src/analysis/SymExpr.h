@@ -29,7 +29,11 @@ namespace specpar {
 namespace analysis {
 
 /// A linear expression c0 + sum(ci * vi) over analysis variables (language
-/// bindings holding symbolic integers), or +/- infinity.
+/// bindings holding symbolic integers), or +/- infinity, or *overflowed*:
+/// an expression whose constant or a coefficient left the int64_t range.
+/// Speculate integers wrap, so an overflowed bound says nothing about the
+/// value; the arithmetic propagates it and an interval holding one is
+/// full() (see SymInterval::of).
 class SymExpr {
 public:
   /// The constant \p C.
@@ -59,6 +63,7 @@ public:
 
   bool isPosInf() const { return K == Kind::PosInf; }
   bool isNegInf() const { return K == Kind::NegInf; }
+  bool isOverflow() const { return K == Kind::Overflow; }
   bool isFinite() const { return K == Kind::Finite; }
   bool isConstant() const { return isFinite() && Coeffs.empty(); }
   int64_t constantValue() const { return Const; }
@@ -66,11 +71,12 @@ public:
   friend SymExpr operator+(const SymExpr &A, const SymExpr &B);
   friend SymExpr operator-(const SymExpr &A, const SymExpr &B);
   /// Multiplication by a constant expression; returns nullopt when neither
-  /// side is constant (non-linear).
+  /// side is constant (non-linear) or a side is not finite.
   static std::optional<SymExpr> mul(const SymExpr &A, const SymExpr &B);
 
-  /// A - B if the difference is a known constant, else nullopt. This is
-  /// the comparability test behind all symbolic interval decisions.
+  /// A - B if the difference is a known constant that fits int64_t, else
+  /// nullopt. This is the comparability test behind all symbolic interval
+  /// decisions.
   std::optional<int64_t> differenceFrom(const SymExpr &B) const;
 
   /// Substitutes \p Var := \p Replacement.
@@ -93,7 +99,13 @@ public:
   std::string str() const;
 
 private:
-  enum class Kind { Finite, PosInf, NegInf } K = Kind::Finite;
+  static SymExpr overflow() {
+    SymExpr E;
+    E.K = Kind::Overflow;
+    return E;
+  }
+
+  enum class Kind { Finite, PosInf, NegInf, Overflow } K = Kind::Finite;
   int64_t Const = 0;
   std::map<const lang::Binding *, int64_t> Coeffs;
 };
@@ -150,8 +162,14 @@ public:
 
 private:
   SymInterval() : Empty(true) {}
+  /// An overflowed bound is unknown, so the interval is the full range.
   SymInterval(SymExpr Lo, SymExpr Hi)
-      : Empty(false), Lo(std::move(Lo)), Hi(std::move(Hi)) {}
+      : Empty(false), Lo(std::move(Lo)), Hi(std::move(Hi)) {
+    if (this->Lo.isOverflow() || this->Hi.isOverflow()) {
+      this->Lo = SymExpr::negInf();
+      this->Hi = SymExpr::posInf();
+    }
+  }
 
   bool Empty;
   SymExpr Lo, Hi;

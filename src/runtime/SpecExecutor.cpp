@@ -101,6 +101,13 @@ SpecExecutor::SpecExecutor(unsigned NumThreads) {
     WorkerStates.push_back(std::make_unique<Worker>());
     WorkerStates.back()->SlotCache.reserve(kSlotCacheMax + kSlotBatch);
   }
+  // Stock the pool for every worker cache at its high-water mark plus two
+  // batches. A slot is released where its task ran, not where it was
+  // submitted, so worker-submitted tasks (Par-mode correctives, nested
+  // runs) make slots circulate between the caches; a pool grown only on
+  // demand kept adding slabs for several runs before it covered that.
+  while (Pool.Free.size() < NumThreads * (kSlotCacheMax + 1) + 2 * kSlotBatch)
+    addSlab();
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I < NumThreads; ++I)
     Workers.emplace_back([this, I] { workerLoop(I); });
@@ -116,6 +123,13 @@ SpecExecutor::~SpecExecutor() {
 
 bool SpecExecutor::onWorkerThread() const { return TLExecutor == this; }
 
+void SpecExecutor::addSlab() {
+  Pool.Slabs.push_back(std::make_unique<TaskSlot[]>(kSlotSlab));
+  TaskSlot *Slab = Pool.Slabs.back().get();
+  for (std::size_t I = 0; I < kSlotSlab; ++I)
+    Pool.Free.push_back(&Slab[I]);
+}
+
 SpecExecutor::TaskSlot *SpecExecutor::acquireSlot(unsigned WorkerIdx) {
   Worker &W = *WorkerStates[WorkerIdx];
   if (!W.SlotCache.empty()) {
@@ -124,12 +138,8 @@ SpecExecutor::TaskSlot *SpecExecutor::acquireSlot(unsigned WorkerIdx) {
     return S;
   }
   std::lock_guard<std::mutex> Lock(Pool.M);
-  if (Pool.Free.size() < kSlotBatch) {
-    Pool.Slabs.push_back(std::make_unique<TaskSlot[]>(kSlotSlab));
-    TaskSlot *Slab = Pool.Slabs.back().get();
-    for (std::size_t I = 0; I < kSlotSlab; ++I)
-      Pool.Free.push_back(&Slab[I]);
-  }
+  if (Pool.Free.size() < kSlotBatch)
+    addSlab();
   for (std::size_t I = 0; I + 1 < kSlotBatch; ++I) {
     W.SlotCache.push_back(Pool.Free.back());
     Pool.Free.pop_back();

@@ -235,6 +235,9 @@ private:
 
   TaskSlot *acquireSlot(unsigned WorkerIdx);
   void releaseSlot(TaskSlot *Slot);
+  /// Adds one slab of free slots to the pool (caller holds Pool.M, or
+  /// is the constructor).
+  void addSlab();
 
   std::vector<std::unique_ptr<Worker>> WorkerStates;
   std::vector<std::thread> Workers;

@@ -147,7 +147,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -517,9 +516,9 @@ bool currentTaskCancelled();
 
 namespace detail {
 
-/// One pooled speculative execution of a segment [B, E) with a given
-/// input. Attempts are preallocated per run, reset in place, and
-/// recycled wave after wave — the steady-state attempt lifecycle does
+/// One speculative execution of a segment [B, E) with a given input. An
+/// attempt lives inline in its wave slot (SegSlot::Storage) and is reset
+/// in place wave after wave — the steady-state attempt lifecycle does
 /// not touch the heap. `Done` is the publication point: every plain
 /// field is written before the seq_cst store of `Done` and read by the
 /// validator only after it loads `Done == true`.
@@ -554,8 +553,6 @@ template <typename T, typename U> struct SegAttempt {
   std::atomic<SegAttempt *> Successor{nullptr};
   /// Body wall time in ns, measured only when the autotuner is armed.
   int64_t BodyNs = 0;
-  /// Which freelist the attempt returns to at wave end.
-  bool FromChainPool = false;
   /// The signal shield contained a crash (or forced runaway abandonment)
   /// in this attempt's body. Published like the other plain fields
   /// (before the Done store). A crashed attempt is never acceptable, but
@@ -584,10 +581,12 @@ template <typename T, typename U> struct SegAttempt {
 /// appended lock-free. `Count` is reserve-then-publish — a chainer CASes
 /// Count up, then release-stores the item pointer — so readers tolerate a
 /// transiently null cell by re-polling (the publisher is a handful of
-/// instructions away).
+/// instructions away). Item I always lives in `Storage[I]`, so a slot
+/// owns every attempt it can ever hold and no attempt pool is needed.
 template <typename T, typename U> struct SegSlot {
   std::atomic<int> Count{0};
   std::atomic<SegAttempt<T, U> *> Items[2] = {};
+  SegAttempt<T, U> Storage[2];
 };
 
 /// The runtime's one blocking wait: returns true once \p Ready() holds,
@@ -774,30 +773,6 @@ enum PredictorCandidate : int {
   NumCandidates = 3,
 };
 
-/// The stable ProfileStore key of candidate \p C.
-inline const char *candidateName(int C) {
-  switch (C) {
-  case CandLast:
-    return "last";
-  case CandStride:
-    return "stride";
-  default:
-    return "user";
-  }
-}
-
-/// Inverse of candidateName(); -1 for unknown names (a cold site or a
-/// profile written by a build with different candidates).
-inline int candidateId(const std::string &Name) {
-  if (Name == "user")
-    return CandUser;
-  if (Name == "last")
-    return CandLast;
-  if (Name == "stride")
-    return CandStride;
-  return -1;
-}
-
 /// Fills a `stats::Snapshot` sink's `Exec` half with the resolved
 /// executor's activity delta across the run. Constructed immediately
 /// after executor resolution — and therefore destroyed *before* a
@@ -817,6 +792,103 @@ struct ExecDeltaGuard {
     if (Snap)
       Snap->Exec = Ex->stats() - Before;
   }
+};
+
+//===------------- the iterate engine's T-independent policies ------------===//
+//
+// SegEngine keeps only what depends on T (predictions, stride
+// observations, attempts); the policies below are compiled once, in
+// Speculation.cpp. All of them are validator-only state, except
+// ChunkTuner::budgetNs(), which workers read.
+
+/// The degrade monitor (SpecConfig::degrade()): a sliding window over the
+/// outcomes of the last prediction points (bad = mispredicted or failed).
+class BadRateWindow {
+public:
+  explicit BadRateWindow(const SpecConfig &Cfg);
+  bool armed() const { return !Buf.empty(); }
+  /// The window is full and its bad fraction exceeds the threshold.
+  bool tripped() const {
+    const int N = static_cast<int>(Buf.size());
+    return armed() && Count == N && Bad > Thresh * N;
+  }
+  void push(bool IsBad);
+  void clear();
+
+private:
+  double Thresh;
+  std::vector<char> Buf;
+  int Count = 0, Pos = 0, Bad = 0;
+};
+
+/// The chunk autotuner (SpecConfig::autotune()) and the per-attempt budget
+/// (attemptBudget() / attemptBudgetAuto()). Both feed on the measured
+/// body times of validated segments, adjusted between waves.
+class ChunkTuner {
+public:
+  /// \p TargetNs is 0 for plain iterate (never autotuned); \p Span is
+  /// the iteration count.
+  ChunkTuner(const SpecConfig &Cfg, int64_t ChunkInit, int64_t TargetNs,
+             int64_t Span, unsigned Workers);
+  int64_t chunk() const { return Chunk; }
+  bool autotuned() const { return TargetNs > 0; }
+  /// Body timing is on: the autotuner or the auto budget consumes it.
+  bool measuring() const { return Measure; }
+  /// The per-attempt budget workers arm (0 = none): the explicit budget,
+  /// else the auto budget (0 until the first measured wave lands).
+  int64_t budgetNs() const { return BudgetNs.load(std::memory_order_relaxed); }
+  /// Accounts one validated segment of the current wave: its body time
+  /// and, at a prediction point (\p Boundary), whether it resolved badly.
+  void note(int64_t Ns, bool Boundary, bool IsBad);
+  /// Between waves: re-derives the auto budget and re-sizes the chunk
+  /// (traced as `Autotune`, indexed by the new size).
+  void endWave(Tracer *Tr, TraceContext Ctx);
+  /// Warm start of an autotuned run: adopts a profiled chunk size
+  /// (clamped to the ceiling); returns the size adopted, 0 for none.
+  int64_t seed(int64_t Profiled);
+
+private:
+  int64_t Chunk;
+  /// Never grow past two segments per worker, never below ChunkInit.
+  int64_t MaxChunk;
+  const int64_t TargetNs;
+  const double BudgetAutoMult; ///< 0 when an explicit budget wins.
+  const bool Measure;
+  std::atomic<int64_t> BudgetNs{0};
+  int64_t BudgetEwmaNs = 0;
+  int64_t WaveNs = 0, WaveMeasured = 0, WaveBad = 0, WaveBoundaries = 0;
+};
+
+/// Profile-guided prediction's per-run candidate accounting: the active
+/// candidate, which candidates have had their shot, each one's shadow
+/// hits and misses, and the degrade trips. Armed iff the config names
+/// both a profile store and a site.
+class CandidateTally {
+public:
+  explicit CandidateTally(const SpecConfig &Cfg);
+  bool on() const { return Prof != nullptr; }
+  int active() const { return Active; }
+  /// One shadow comparison of candidate \p C at a prediction point.
+  void score(int C, bool Hit);
+  /// Run start: seeds the chunk size (autotuned runs) and the active
+  /// candidate from the store. \p StrideOk: T is arithmetic.
+  void seed(ChunkTuner &Tuner, bool StrideOk, SpeculationStats &Stats,
+            Tracer *Tr, TraceContext Ctx);
+  /// A degrade-monitor trip. Switches to the untried candidate with the
+  /// best hit rate this run, when one has enough samples and hits a
+  /// majority (each gets one shot, so a hopeless site still converges to
+  /// sequential), and returns true; false means degrade.
+  bool switchOnTrip(SpeculationStats &Stats, Tracer *Tr, TraceContext Ctx);
+  /// Run end: folds the run's observations into the store.
+  void record(const ChunkTuner &Tuner, const SpeculationStats &Stats) const;
+
+private:
+  ProfileStore *Prof;
+  const std::string &Site;
+  int Active = CandUser;
+  std::array<bool, NumCandidates> Tried{};
+  std::array<int64_t, NumCandidates> Hits{}, Misses{};
+  int64_t Trips = 0;
 };
 
 } // namespace detail
@@ -1118,11 +1190,11 @@ public:
     std::optional<SpecExecutor> Transient;
     SpecExecutor &Ex = resolveExecutor(Cfg, Transient);
     detail::ExecDeltaGuard ExecGuard{Cfg.statsSnapshotOut(), Ex};
-    // Plain iteration is chunk-size-1 segmented iteration with per-
-    // iteration indices; the init/finalize-per-iteration contract pins
-    // the granularity, so the autotuner never applies here.
+    // Plain iteration is chunk-size-1 segmented iteration whose segment
+    // N reports iteration index Low + N; the init/finalize-per-iteration
+    // contract pins the granularity, so the autotuner never applies here.
     SegEngine<T, U, InitFn, BodyFn, PredictorFn, FinalFn, Eq> Engine(
-        Low, High, /*ChunkInit=*/1, /*OrdinalIndices=*/false,
+        Low, High, /*IndexBase=*/Low, /*ChunkInit=*/1,
         /*AutotuneTargetNs=*/0, Init, Body, Predictor, Finalize, Cfg, Ex,
         Equal, Result.Stats);
     Result.Value = Engine.run();
@@ -1194,7 +1266,7 @@ public:
     // with it on, ChunkSize is the initial granularity. Indices reported
     // to finalizers/predictions/telemetry are segment ordinals.
     SegEngine<T, U, InitFn, BodyFn, PredictorFn, FinalFn, Eq> Engine(
-        Low, High, /*ChunkInit=*/ChunkSize, /*OrdinalIndices=*/true,
+        Low, High, /*IndexBase=*/0, /*ChunkInit=*/ChunkSize,
         /*AutotuneTargetNs=*/Cfg.autotuneTargetMicros() * 1000, Init, Body,
         Predictor, Finalize, Cfg, Ex, Equal, Result.Stats);
     Result.Value = Engine.run();
@@ -1209,13 +1281,12 @@ private:
   /// `W = max(8, 4 * workers)` segments. Per wave the validator (the
   /// calling thread) plans the segment boundaries, computes the
   /// predictions (on the calling thread, in segment order, so FaultPlan
-  /// probe sequences stay deterministic), dispatches one pooled attempt
-  /// per usable prediction, validates the wave's segments strictly in
-  /// order, then recycles every attempt for the next wave. Attempts and
-  /// slots are preallocated (3W attempts: W for initial dispatches, 2W
-  /// for Par-mode chainers), reset in place, and recycled — together
-  /// with the executor's TaskRef/slot pooling the steady-state cost of a
-  /// segment is zero heap allocations.
+  /// probe sequences stay deterministic), dispatches one attempt per
+  /// usable prediction, and validates the wave's segments strictly in
+  /// order. Each of the W slots owns its two attempts inline (the initial
+  /// dispatch and at most one Par-mode corrective), reset in place every
+  /// wave — together with the executor's TaskRef/slot pooling the
+  /// steady-state cost of a segment is zero heap allocations.
   ///
   /// Synchronisation is lock-free on the hot path: an attempt publishes
   /// its results with one seq_cst store of `Done`, completion is an
@@ -1227,9 +1298,10 @@ private:
   ///
   /// The wave bound also caps in-flight speculation: a 10^5-segment run
   /// no longer materialises 10^5 attempts and tasks up front. And waves
-  /// are what the autotuner hooks into — between waves the validator may
-  /// re-size `CurChunk` (chunked forms only) using the measured body
-  /// times and the wave's misprediction rate.
+  /// are what the autotuner hooks into — between waves the ChunkTuner
+  /// may re-size the chunk (chunked forms only) using the measured body
+  /// times and the wave's misprediction rate. The T-independent policies
+  /// (ChunkTuner, BadRateWindow, CandidateTally) live in Speculation.cpp.
   ///
   /// \p Stats is filled in place (it survives throws via the caller's
   /// StatsOutGuard). Only the validator touches it; workers count
@@ -1243,55 +1315,25 @@ private:
     using Clock = std::chrono::steady_clock;
 
   public:
-    SegEngine(int64_t Low, int64_t High, int64_t ChunkInit,
-              bool OrdinalIndices, int64_t AutotuneTargetNs, InitFn &Init,
-              BodyFn &Body, PredictorFn &Predictor, FinalFn &Finalize,
-              const SpecConfig &Cfg, SpecExecutor &Ex, Eq &Equal,
-              SpeculationStats &Stats)
-        : Low(Low), High(High), CurChunk(ChunkInit),
-          OrdinalIndices(OrdinalIndices), AutoTargetNs(AutotuneTargetNs),
-          Init(Init), Body(Body), Predictor(Predictor), Finalize(Finalize),
-          Ex(Ex), Equal(Equal), Stats(Stats), Mode(Cfg.mode()),
-          Tr(Cfg.trace()), JobCtx(Cfg.traceContext()), FP(Cfg.faults()),
-          CfgDeadline(Cfg.deadline()),
-          Deadline(resolveDeadline(Cfg)),
+    /// Segment ordinal N reports index \p IndexBase + N to finalizers
+    /// and telemetry: `Low` for plain iterate (one iteration per
+    /// segment, so the iteration index), 0 for the chunked forms.
+    SegEngine(int64_t Low, int64_t High, int64_t IndexBase, int64_t ChunkInit,
+              int64_t AutotuneTargetNs, InitFn &Init, BodyFn &Body,
+              PredictorFn &Predictor, FinalFn &Finalize, const SpecConfig &Cfg,
+              SpecExecutor &Ex, Eq &Equal, SpeculationStats &Stats)
+        : Low(Low), High(High), IndexBase(IndexBase), Init(Init), Body(Body),
+          Predictor(Predictor), Finalize(Finalize), Ex(Ex), Equal(Equal),
+          Stats(Stats), Mode(Cfg.mode()), Tr(Cfg.trace()),
+          JobCtx(Cfg.traceContext()), FP(Cfg.faults()),
+          CfgDeadline(Cfg.deadline()), Deadline(resolveDeadline(Cfg)),
           HasDeadline(Deadline != Clock::time_point::max()),
-          DegradeThresh(Cfg.degradeThreshold()),
-          DegradeWindow(Cfg.degradeThreshold() >= 0 ? Cfg.degradeWindow()
-                                                    : 0),
-          Prof(Cfg.profile()), SiteName(&Cfg.profileSite()),
-          ProfOn(Prof != nullptr && !SiteName->empty()),
           W(std::max<int64_t>(8, 4 * static_cast<int64_t>(Ex.numThreads()))),
-          Shield(Cfg.shield()), BudgetNsCfg(Cfg.attemptBudget().count()),
-          BudgetAutoMult(BudgetNsCfg > 0 ? 0.0
-                                         : Cfg.attemptBudgetAutoMult()),
-          MeasureBody(AutotuneTargetNs > 0 ||
-                      Cfg.attemptBudgetAutoMult() > 0),
-          AttemptStore(static_cast<size_t>(3 * W)),
-          Slots(static_cast<size_t>(W)), WavePred(static_cast<size_t>(W)),
-          WaveB(static_cast<size_t>(W)), WaveE(static_cast<size_t>(W)),
-          WaveUser(static_cast<size_t>(W)),
-          WaveCand(ProfOn ? static_cast<size_t>(W) : 0) {
-      CurBudgetNs.store(BudgetNsCfg, std::memory_order_relaxed);
-      FreeLocal.reserve(static_cast<size_t>(W));
-      ChainPool.reserve(static_cast<size_t>(2 * W));
-      for (int64_t I = 0; I < W; ++I)
-        FreeLocal.push_back(&AttemptStore[static_cast<size_t>(I)]);
-      for (int64_t I = W; I < 3 * W; ++I) {
-        AttemptStore[static_cast<size_t>(I)].FromChainPool = true;
-        ChainPool.push_back(&AttemptStore[static_cast<size_t>(I)]);
-      }
-      // Autotune ceiling: never grow a chunk past the size that would
-      // leave fewer than two segments per worker (no overlap left to
-      // speculate with), and never below the caller's initial size as a
-      // ceiling.
-      MaxChunk = std::max<int64_t>(
-          CurChunk,
-          (High - Low) /
-              std::max<int64_t>(1, 2 * static_cast<int64_t>(Ex.numThreads())));
-      if (MaxChunk < 1)
-        MaxChunk = 1;
-    }
+          Shield(Cfg.shield()),
+          Tuner(Cfg, ChunkInit, AutotuneTargetNs, High - Low, Ex.numThreads()),
+          Window(Cfg), Cands(Cfg), Slots(static_cast<size_t>(W)),
+          WavePred(static_cast<size_t>(W)),
+          WaveCand(Cands.on() ? static_cast<size_t>(W) : 0) {}
 
     SegEngine(const SegEngine &) = delete;
     SegEngine &operator=(const SegEngine &) = delete;
@@ -1306,276 +1348,62 @@ private:
       if (Shield)
         installSignalShield();
       Run.ValidatorId = std::this_thread::get_id();
-      if (ProfOn)
-        profileSeed();
+      if (Cands.on())
+        Cands.seed(Tuner, std::is_arithmetic_v<T>, Stats, Tr, JobCtx);
       // The non-speculative initial value of the loop-carried state; its
       // exception propagates (speculative prediction points swallow
       // theirs into "failed prediction" instead — see planWave).
       T Correct = Predictor(Low);
-      // Sliding window of prediction-point outcomes feeding the degrade
-      // monitor (1 = mispredicted or failed).
-      std::vector<char> WinBuf(static_cast<size_t>(DegradeWindow), 0);
-      int WinCount = 0, WinPos = 0, WinBad = 0;
-      int64_t NextB = Low;  // first iteration not yet planned
+      int64_t NextB = Low;  // first iteration not yet validated
       int64_t NextOrd = 0;  // its segment ordinal
-      bool FirstSegment = true;
 
       while (NextB < High && !TimedOut && !FirstValidErr) {
         if (Degraded) {
-          // Adaptive sequential fallback: the remaining segments run
-          // in order on this thread, exactly once, never dispatched.
-          const int64_t B = NextB;
-          const int64_t E = std::min(High, B + CurChunk);
-          const int64_t UI = OrdinalIndices ? NextOrd : B;
+          // Adaptive sequential fallback: the remaining segments run in
+          // order on this thread, exactly once, never dispatched. A
+          // segment of the wave that tripped the monitor first waits out
+          // its cancelled slot, so this execution's writes land last.
+          const int64_t B = NextB, E = std::min(High, B + Tuner.chunk());
+          const int64_t K = NextOrd - WaveOrd0;
+          const int64_t UI = IndexBase + NextOrd;
           NextB = E;
           ++NextOrd;
-          if (HasDeadline && Clock::now() >= Deadline) {
-            TimedOut = true;
-            TimeoutIdx = UI;
+          if (expired(UI) || (K < WaveCount && !quiesceSlot(K)))
             break;
-          }
-          if (!degradedSegment(B, E, UI, Correct))
+          ++Stats.DegradedChunks;
+          if (Tr)
+            Tr->record(SpecEventKind::Degrade, UI, 0, JobCtx);
+          std::optional<U> Local;
+          int64_t Ns = 0;
+          if (!execSegment(B, E, Correct, Local, Ns) ||
+              !finalizeSegment(UI, *Local))
             break;
           continue;
         }
-
-        planWave(NextB, NextOrd, FirstSegment, Correct);
+        planWave(NextB, NextOrd, Correct);
         dispatchWave();
-
-        // Validate the wave's segments strictly in order (the chain of
-        // `check` threads in the formal semantics).
-        for (int64_t K = 0; K < WaveCount && !TimedOut && !FirstValidErr;
-             ++K) {
-          const int64_t UI = WaveUser[static_cast<size_t>(K)];
-          if (HasDeadline && Clock::now() >= Deadline) {
-            TimedOut = true;
-            TimeoutIdx = UI;
-            break;
-          }
-          if (!Degraded && DegradeWindow > 0 && WinCount == DegradeWindow &&
-              WinBad > DegradeThresh * DegradeWindow) {
-            // The window is saturated with bad prediction points:
-            // speculation is burning work. With a profile attached, first
-            // try to switch to a candidate predictor that has been
-            // hitting where the active one misses — the "deoptimize to a
-            // better guess" move; each candidate gets at most one shot
-            // per run, so a hopeless site still converges to sequential.
-            ++RunDegradeTrips;
-            const int Next = ProfOn ? pickSwitchCandidate() : -1;
-            if (Next >= 0) {
-              ActiveCand = Next;
-              CandTried[static_cast<size_t>(Next)] = true;
-              ++Stats.PredictorSwitches;
-              if (Tr)
-                Tr->record(SpecEventKind::PredictorSwitch, Next, 0, JobCtx);
-              // Fresh window: the new candidate drives the *next* wave's
-              // predictions, and it deserves a full window before the
-              // monitor may trip again.
-              std::fill(WinBuf.begin(), WinBuf.end(), 0);
-              WinCount = WinPos = WinBad = 0;
-            } else {
-              // No better candidate: cancel this wave's remaining
-              // attempts and fall back to in-order execution. Segments
-              // beyond the wave were never dispatched — nothing to
-              // cancel there.
-              Degraded = true;
-              Run.Draining.store(true, std::memory_order_seq_cst);
-              for (int64_t KK = K; KK < WaveCount; ++KK)
-                cancelSlot(KK, WaveUser[static_cast<size_t>(KK)]);
-            }
-          }
-          if (Degraded) {
-            // Quiesce the (cancelled) slot so this in-order execution's
-            // writes land last, then run the segment exactly once.
-            if (!quiesceSlot(K)) {
-              TimedOut = true;
-              TimeoutIdx = UI;
-              break;
-            }
-            if (!degradedSegment(WaveB[static_cast<size_t>(K)],
-                                 WaveE[static_cast<size_t>(K)], UI, Correct))
-              break;
-            continue;
-          }
-
-          const int64_t GlobalOrd = WaveOrd0 + K;
-          bool SlotBad = false;     // mispredicted or failed
-          bool ForceReexec = false; // injected ForceMispredict fired
-          if (ProfOn) {
-            // `Correct` here is the true value *entering* this segment:
-            // shadow-score every candidate's prediction against it
-            // (internal accounting — no fault-plan probes, and a
-            // throwing comparator just skips the sample), then feed the
-            // observation to the stride extrapolator.
-            if (GlobalOrd > 0) {
-              const auto &CP = WaveCand[static_cast<size_t>(K)];
-              for (int C = 0; C < detail::NumCandidates; ++C) {
-                if (!CP[static_cast<size_t>(C)])
-                  continue;
-                bool Th = false;
-                if (guardedEqual(Equal, nullptr, *CP[static_cast<size_t>(C)],
-                                 Correct, Th))
-                  ++CandHits[static_cast<size_t>(C)];
-                else if (!Th)
-                  ++CandMiss[static_cast<size_t>(C)];
-              }
-            }
-            observe(WaveB[static_cast<size_t>(K)], Correct);
-          }
-          if (GlobalOrd > 0) {
-            ++Stats.Predictions;
-            const std::optional<T> &P = WavePred[static_cast<size_t>(K)];
-            bool CmpThrew = false;
-            if (!P) {
-              // The predictor threw at this point: a failed prediction —
-              // nothing was dispatched, the validator executes it below.
-              ++Stats.FailedPredictions;
-              SlotBad = true;
-            } else if (guardedEqual(Equal, FP, *P, Correct, CmpThrew)) {
-              // Injection site: discard a correct prediction, forcing
-              // the full misprediction/re-execution machinery.
-              if (FP && FP->shouldFire(FaultSite::ForceMispredict)) {
-                ++Stats.Mispredictions;
-                SlotBad = true;
-                ForceReexec = true;
-                if (Tr)
-                  Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
-              }
-            } else if (CmpThrew) {
-              // The comparator threw: the prediction point resolved
-              // without a trustworthy comparison — a failed prediction,
-              // and the pessimistic path below re-executes. The user's
-              // exception never propagates from a speculative
-              // validation.
-              ++Stats.FailedPredictions;
-              SlotBad = true;
-            } else {
-              ++Stats.Mispredictions;
-              SlotBad = true;
-              if (Tr)
-                Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
-            }
-          }
-
-          // Cancel attempts whose input is already known wrong, then
-          // quiesce the slot. (Membership is final: chains into this
-          // slot originate from the previous slot, which was quiesced
-          // before we advanced, and their append happens-before that
-          // quiesce observed them done.) An attempt is acceptable only
-          // if it ran with the correct input, finished last in its slot
-          // (only then are its writes the final ones), and was neither
-          // cancelled nor *observed* cancellation — a spuriously
-          // cancelled or deadline-bailed body may have returned a
-          // partial value. Otherwise the validator re-executes, making
-          // its own writes final (condition (e)'s re-execution).
-          sweepSlot(K, UI, ForceReexec, Correct);
-          if (!quiesceSlot(K)) {
-            TimedOut = true;
-            TimeoutIdx = UI;
-            break;
-          }
-          if (DegradeWindow > 0 && GlobalOrd > 0) {
-            if (WinCount == DegradeWindow)
-              WinBad -= WinBuf[static_cast<size_t>(WinPos)];
-            else
-              ++WinCount;
-            WinBuf[static_cast<size_t>(WinPos)] = SlotBad ? 1 : 0;
-            WinBad += SlotBad ? 1 : 0;
-            WinPos = (WinPos + 1) % DegradeWindow;
-          }
-
-          Attempt *Match = acceptableAttempt(K, ForceReexec, Correct);
-          std::optional<U> LocalForFinal;
-          int64_t SegNs = 0;
-          if (Match) {
-            if (Tr)
-              Tr->record(SpecEventKind::ValidateAccept, UI, Match->TraceId,
-                         JobCtx);
-            if (Match->Err)
-              FirstValidErr = Match->Err;
-            else {
-              Correct = *Match->Out;
-              LocalForFinal = std::move(Match->Local);
-              SegNs = Match->BodyNs;
-            }
-          } else {
-            // Misprediction (or a stale valid run that was overwritten
-            // by a later garbage attempt): re-execute on the validator
-            // thread (rule CHECK's consumer re-execution). The slot is
-            // quiescent, so this execution's writes land last.
-            // Deliberately *not* under a CancelScope of its own: this is
-            // authoritative code.
-            if (HasDeadline && Clock::now() >= Deadline) {
-              // Don't start an authoritative chunk we already have no
-              // budget for — the timeout path below reports instead.
-              TimedOut = true;
-              TimeoutIdx = UI;
-              break;
-            }
-            ++Stats.Reexecutions;
-            if (Tr)
-              Tr->record(SpecEventKind::Reexecute, UI, 0, JobCtx);
-            try {
-              if (FP)
-                FP->maybeThrow(FaultSite::BodyThrow);
-              U L = Init();
-              Clock::time_point T0;
-              if (MeasureBody)
-                T0 = Clock::now();
-              T Acc = std::move(Correct);
-              for (int64_t I = WaveB[static_cast<size_t>(K)];
-                   I < WaveE[static_cast<size_t>(K)]; ++I)
-                Acc = Body(I, L, std::move(Acc));
-              if (MeasureBody)
-                SegNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            Clock::now() - T0)
-                            .count();
-              Correct = std::move(Acc);
-              LocalForFinal = std::move(L);
-            } catch (...) {
-              FirstValidErr = std::current_exception();
-            }
-          }
-          if (FirstValidErr)
-            break;
-          try {
-            Finalize(UI, *LocalForFinal);
-            if (Tr)
-              Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
-          } catch (...) {
-            FirstValidErr = std::current_exception();
-            break;
-          }
-          if (MeasureBody) {
-            WaveNs += SegNs;
-            ++WaveMeasured;
-            if (GlobalOrd > 0) {
-              ++WaveBoundaries;
-              WaveBad += SlotBad ? 1 : 0;
-            }
-          }
-        }
-
+        validateWave(NextB, NextOrd, Correct);
         if (TimedOut || FirstValidErr)
           break; // the drain below retires whatever is still in flight
-        if (!Degraded)
-          autotuneAdjust();
-        recycleWave();
+        if (!Degraded) {
+          Tuner.endWave(Tr, JobCtx);
+          WaveCount = 0;
+        }
       }
 
       // Cancel whatever speculation is still in flight and wait for
       // every attempt to retire (their tasks reference this engine).
       Run.Draining.store(true, std::memory_order_seq_cst);
       for (int64_t K = 0; K < WaveCount; ++K)
-        cancelSlot(K, WaveUser[static_cast<size_t>(K)]);
+        cancelSlot(K);
       Run.retire(Ex, Stats, [] { return true; });
       // The segmentation the run actually ended on — after any autotune
       // resizes and regardless of how the run exits. DegradedChunks (and
       // chunk ordinals generally) count segments of *this* dynamic grid,
       // not the configured fixed grid.
-      Stats.FinalChunk = CurChunk;
-      if (ProfOn)
-        profileRecord();
+      Stats.FinalChunk = Tuner.chunk();
+      if (Cands.on())
+        Cands.record(Tuner, Stats);
       if (TimedOut) {
         if (Tr)
           Tr->record(SpecEventKind::Timeout, TimeoutIdx, 0, JobCtx);
@@ -1589,31 +1417,33 @@ private:
   private:
     //===---------------- wave planning and dispatch --------------------===//
 
-    /// Plans up to W segments starting at \p NextB: boundaries, user
-    /// indices, and predictions. Predictions are computed here on the
-    /// calling thread, in segment order — a throwing predictor (or an
-    /// injected PredictorThrow) leaves the prediction disengaged, a
-    /// *failed* prediction point with no attempt dispatched.
-    void planWave(int64_t &NextB, int64_t &NextOrd, bool &FirstSegment,
-                  const T &Correct) {
+    int64_t segBegin(int64_t K) const { return WaveB0 + K * Tuner.chunk(); }
+    int64_t segEnd(int64_t K) const {
+      return std::min(High, segBegin(K) + Tuner.chunk());
+    }
+    int64_t userIdx(int64_t K) const { return IndexBase + WaveOrd0 + K; }
+
+    /// Plans up to W segments starting at \p NextB and computes their
+    /// predictions, here on the calling thread, in segment order — a
+    /// throwing predictor (or an injected PredictorThrow) leaves the
+    /// prediction disengaged, a *failed* prediction point with no attempt
+    /// dispatched. Advances (\p NextB, \p NextOrd) past the wave.
+    void planWave(int64_t &NextB, int64_t &NextOrd, const T &Correct) {
       WaveOrd0 = NextOrd;
-      WaveCount = 0;
-      int64_t B = NextB;
-      while (WaveCount < W && B < High) {
+      WaveB0 = NextB;
+      for (WaveCount = 0; WaveCount < W && NextB < High;
+           ++WaveCount, ++NextOrd) {
         const size_t K = static_cast<size_t>(WaveCount);
-        const int64_t E = std::min(High, B + CurChunk);
-        WaveB[K] = B;
-        WaveE[K] = E;
-        WaveUser[K] = OrdinalIndices ? NextOrd : B;
-        if (FirstSegment) {
+        const int64_t B = NextB;
+        NextB = std::min(High, B + Tuner.chunk());
+        if (NextOrd == 0) {
           // The run's first segment consumes the non-speculative initial
           // value — no speculation about its input, no prediction point.
           WavePred[K].emplace(Correct);
-          if (ProfOn)
+          if (Cands.on())
             for (auto &CP : WaveCand[K])
               CP.reset();
-          FirstSegment = false;
-        } else if (!ProfOn) {
+        } else if (!Cands.on()) {
           WavePred[K].reset();
           try {
             if (FP)
@@ -1639,42 +1469,33 @@ private:
           }
           CP[detail::CandLast].emplace(Correct);
           stridePredict(B, CP[detail::CandStride]);
-          WavePred[K] = CP[static_cast<size_t>(ActiveCand)];
+          WavePred[K] = CP[static_cast<size_t>(Cands.active())];
         }
-        ++NextOrd;
-        ++WaveCount;
-        B = E;
       }
-      NextB = B;
     }
 
-    /// Installs one pooled attempt per usable prediction into the wave's
-    /// slots, then submits their tasks. Two passes: every slot must be
-    /// fully initialised before the first task runs, because an early
+    /// Resets the wave's slots and installs one attempt per usable
+    /// prediction, then submits their tasks. Two passes: every slot must
+    /// be fully initialised before the first task runs, because an early
     /// finisher may immediately chain into a later slot.
     void dispatchWave() {
-      // No attempts are outstanding between waves, so this reset cannot
-      // race a worker's claim; the wave starts in the validator's eager
-      // helping mode (see quiesceSlot).
+      // No attempt of an earlier wave is still running a body or touching
+      // a slot (each was quiesced), so this reset cannot race a worker;
+      // the wave starts in the validator's eager helping mode (see
+      // quiesceSlot).
       Run.ForeignClaim.store(false, std::memory_order_relaxed);
       for (int64_t K = 0; K < WaveCount; ++K) {
         Slot &S = Slots[static_cast<size_t>(K)];
-        S.Items[0].store(nullptr, std::memory_order_relaxed);
         S.Items[1].store(nullptr, std::memory_order_relaxed);
-        S.Count.store(0, std::memory_order_relaxed);
-      }
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        if (!WavePred[static_cast<size_t>(K)])
-          continue;
-        Attempt *A = FreeLocal.back();
-        FreeLocal.pop_back();
-        resetAttempt(A, K, *WavePred[static_cast<size_t>(K)], nullptr);
-        Slots[static_cast<size_t>(K)].Items[0].store(
-            A, std::memory_order_relaxed);
-        Slots[static_cast<size_t>(K)].Count.store(1,
-                                                  std::memory_order_relaxed);
-        Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
-        ++Stats.Tasks;
+        Attempt *A = nullptr;
+        if (WavePred[static_cast<size_t>(K)]) {
+          A = &S.Storage[0];
+          resetAttempt(A, K, *WavePred[static_cast<size_t>(K)], nullptr);
+          Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
+          ++Stats.Tasks;
+        }
+        S.Items[0].store(A, std::memory_order_relaxed);
+        S.Count.store(A ? 1 : 0, std::memory_order_relaxed);
       }
       for (int64_t K = 0; K < WaveCount; ++K) {
         // Guard on the prediction, not the slot: an already-running
@@ -1683,8 +1504,7 @@ private:
         // its chainer, not here.
         if (!WavePred[static_cast<size_t>(K)])
           continue;
-        Attempt *A = Slots[static_cast<size_t>(K)].Items[0].load(
-            std::memory_order_relaxed);
+        Attempt *A = &Slots[static_cast<size_t>(K)].Storage[0];
         if (Tr)
           Tr->record(SpecEventKind::Dispatch, A->UserIdx, A->TraceId, JobCtx);
         submitAttempt(A);
@@ -1697,10 +1517,10 @@ private:
       A->Local.reset();
       A->Err = nullptr;
       A->FinishStamp = 0;
-      A->B = WaveB[static_cast<size_t>(K)];
-      A->E = WaveE[static_cast<size_t>(K)];
+      A->B = segBegin(K);
+      A->E = segEnd(K);
       A->SlotIdx = K;
-      A->UserIdx = WaveUser[static_cast<size_t>(K)];
+      A->UserIdx = userIdx(K);
       A->After = After;
       A->BodyNs = 0;
       A->Crashed = false;
@@ -1710,6 +1530,68 @@ private:
       A->Done.store(false, std::memory_order_relaxed);
       A->Successor.store(nullptr, std::memory_order_relaxed);
       A->TraceId = Tr ? Tr->newAttemptId() : 0;
+    }
+
+    //===---------------- segment execution ------------------------------===//
+
+    /// The one segment runner, for attempts and the validator alike:
+    /// fresh local state from Init(), then Body folded over [B, E) from
+    /// \p Acc. The body time lands in \p Ns when the tuner measures.
+    T runSegment(int64_t B, int64_t E, T Acc, std::optional<U> &Local,
+                 int64_t &Ns) {
+      U L = Init();
+      Clock::time_point T0;
+      if (Tuner.measuring())
+        T0 = Clock::now();
+      for (int64_t I = B; I < E; ++I)
+        Acc = Body(I, L, std::move(Acc));
+      if (Tuner.measuring())
+        Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 Clock::now() - T0)
+                 .count();
+      Local.emplace(std::move(L));
+      return Acc;
+    }
+
+    /// Runs segment [B, E) authoritatively on the validator, from and
+    /// into \p Correct (re-execution and degraded mode). Deliberately
+    /// *not* under a CancelScope: this is authoritative code. Returns
+    /// false when the body threw (recorded in FirstValidErr).
+    bool execSegment(int64_t B, int64_t E, T &Correct,
+                     std::optional<U> &Local, int64_t &Ns) {
+      try {
+        if (FP)
+          FP->maybeThrow(FaultSite::BodyThrow);
+        Correct = runSegment(B, E, std::move(Correct), Local, Ns);
+        return true;
+      } catch (...) {
+        FirstValidErr = std::current_exception();
+        return false;
+      }
+    }
+
+    /// Publishes a validated segment's local state. Returns false when
+    /// the finalizer threw (recorded in FirstValidErr).
+    bool finalizeSegment(int64_t UI, U &Local) {
+      try {
+        Finalize(UI, Local);
+        if (Tr)
+          Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
+        return true;
+      } catch (...) {
+        FirstValidErr = std::current_exception();
+        return false;
+      }
+    }
+
+    /// True — and the run marked timed out at index \p UI — once the
+    /// deadline has passed.
+    bool expired(int64_t UI) {
+      if (!HasDeadline || Clock::now() < Deadline)
+        return false;
+      TimedOut = true;
+      TimeoutIdx = UI;
+      return true;
     }
 
     //===---------------- the worker-side attempt ------------------------===//
@@ -1759,28 +1641,16 @@ private:
         try {
           if (FP)
             FP->maybeThrow(FaultSite::BodyThrow);
+          // *A->In is copied: it stays for the validator's comparisons.
           auto RunBody = [&] {
-            U L = Init();
-            Clock::time_point T0;
-            if (MeasureBody)
-              T0 = Clock::now();
-            T Acc = *A->In; // copy: In stays for the validator's comparisons
-            for (int64_t I = A->B; I < A->E; ++I)
-              Acc = Body(I, L, std::move(Acc));
-            if (MeasureBody)
-              A->BodyNs =
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - T0)
-                      .count();
-            Out.emplace(std::move(Acc));
-            Local.emplace(std::move(L));
+            Out.emplace(runSegment(A->B, A->E, *A->In, Local, A->BodyNs));
           };
           if (!Shield) {
             RunBody();
-          } else if (detail::shieldedAttempt(
-                         RunBody, CurBudgetNs.load(std::memory_order_relaxed),
-                         A->CancelFlag, A->ObservedCancel, Run, FP, Tr,
-                         A->UserIdx, A->TraceId, JobCtx)) {
+          } else if (detail::shieldedAttempt(RunBody, Tuner.budgetNs(),
+                                             A->CancelFlag, A->ObservedCancel,
+                                             Run, FP, Tr, A->UserIdx,
+                                             A->TraceId, JobCtx)) {
             // Drop whatever partial state escaped the contained body.
             Out.reset();
             Local.reset();
@@ -1804,7 +1674,8 @@ private:
         Chained = tryChain(A->SlotIdx + 1, *Out);
       // Publish: every plain field first, then the seq_cst Done store.
       // Copy what the Finish event needs *before* the store — once Done
-      // is visible the validator may accept and recycle this attempt.
+      // is visible the validator may accept the attempt and reset its
+      // slot for the next wave.
       const uint64_t MyTrace = A->TraceId;
       const int64_t MyUser = A->UserIdx;
       A->Out = std::move(Out);
@@ -1815,7 +1686,7 @@ private:
           Run.FinishCounter.fetch_add(1, std::memory_order_relaxed) + 1;
       // Our writes are over and stamped: a corrective parked on us may
       // run now. Read before Done — once Done is visible this attempt may
-      // be recycled.
+      // be reset.
       Attempt *Parked = A->Successor.exchange(A, std::memory_order_seq_cst);
       A->Done.store(true, std::memory_order_seq_cst);
       if (Tr)
@@ -1854,7 +1725,7 @@ private:
     /// Appends a corrective attempt with input \p OutVal to slot \p NK if
     /// no equivalent attempt (or prediction) exists there. Lock-free:
     /// reserve an item index by CASing Count, then publish with a
-    /// release store.
+    /// release store. The reserved index names the slot's own storage.
     Attempt *tryChain(int64_t NK, const T &OutVal) {
       Slot &S = Slots[static_cast<size_t>(NK)];
       bool CmpThrew = false;
@@ -1887,13 +1758,6 @@ private:
       }
       if (Cur >= 2)
         return nullptr;
-      Attempt *NA = chainPoolPop();
-      if (!NA) {
-        // Pool exhausted (cannot happen with the 2W sizing; belt only):
-        // release the reservation and skip the optimisation.
-        S.Count.fetch_sub(1, std::memory_order_seq_cst);
-        return nullptr;
-      }
       Attempt *After = nullptr;
       if (Cur > 0) {
         // The prior item may be mid-publish; its publisher is a few
@@ -1904,6 +1768,7 @@ private:
             std::this_thread::yield();
         } while (!After);
       }
+      Attempt *NA = &S.Storage[Cur];
       resetAttempt(NA, NK, OutVal, After);
       Run.Outstanding.fetch_add(1, std::memory_order_seq_cst);
       Run.ChainedTasks.fetch_add(1, std::memory_order_relaxed);
@@ -1911,16 +1776,139 @@ private:
       return NA;
     }
 
-    Attempt *chainPoolPop() {
-      std::lock_guard<std::mutex> Lock(ChainPoolM);
-      if (ChainPool.empty())
-        return nullptr;
-      Attempt *A = ChainPool.back();
-      ChainPool.pop_back();
-      return A;
-    }
+    //===---------------- validation -------------------------------------===//
 
-    //===---------------- validator-side helpers -------------------------===//
+    /// Validates the wave's segments strictly in order (the chain of
+    /// `check` threads in the formal semantics). Returns early on a
+    /// timeout or a valid exception, and on a degrade trip — which
+    /// cancels the rest of the wave and rewinds (\p NextB, \p NextOrd)
+    /// to the first unvalidated segment, for run()'s degraded path.
+    void validateWave(int64_t &NextB, int64_t &NextOrd, T &Correct) {
+      for (int64_t K = 0; K < WaveCount; ++K) {
+        const int64_t Ord = WaveOrd0 + K;
+        const int64_t UI = userIdx(K);
+        if (expired(UI))
+          return;
+        if (Window.tripped()) {
+          // The window is saturated with bad prediction points:
+          // speculation is burning work. With a profile attached, first
+          // try to switch to a candidate predictor that has been
+          // hitting where the active one misses — the "deoptimize to a
+          // better guess" move.
+          if (Cands.switchOnTrip(Stats, Tr, JobCtx)) {
+            // The new candidate drives the *next* wave's predictions,
+            // and it deserves a full window before the monitor may trip
+            // again.
+            Window.clear();
+          } else {
+            // No better candidate: cancel this wave's remaining attempts
+            // and fall back to in-order execution. Segments beyond the
+            // wave were never dispatched — nothing to cancel there.
+            Degraded = true;
+            Run.Draining.store(true, std::memory_order_seq_cst);
+            for (int64_t KK = K; KK < WaveCount; ++KK)
+              cancelSlot(KK);
+            NextB = segBegin(K);
+            NextOrd = Ord;
+            return;
+          }
+        }
+
+        bool SlotBad = false;     // mispredicted or failed
+        bool ForceReexec = false; // injected ForceMispredict fired
+        if (Cands.on()) {
+          // `Correct` here is the true value *entering* this segment:
+          // shadow-score every candidate's prediction against it
+          // (internal accounting — no fault-plan probes, and a throwing
+          // comparator just skips the sample), then feed the observation
+          // to the stride extrapolator.
+          if (Ord > 0)
+            for (int C = 0; C < detail::NumCandidates; ++C) {
+              const std::optional<T> &CP =
+                  WaveCand[static_cast<size_t>(K)][static_cast<size_t>(C)];
+              bool Th = false;
+              if (!CP)
+                continue;
+              const bool Hit = guardedEqual(Equal, nullptr, *CP, Correct, Th);
+              if (Hit || !Th)
+                Cands.score(C, Hit);
+            }
+          observe(segBegin(K), Correct);
+        }
+        if (Ord > 0) {
+          ++Stats.Predictions;
+          const std::optional<T> &P = WavePred[static_cast<size_t>(K)];
+          bool CmpThrew = false;
+          const bool Hit = P && guardedEqual(Equal, FP, *P, Correct, CmpThrew);
+          // Injection site: discard a correct prediction, forcing the full
+          // misprediction/re-execution machinery.
+          ForceReexec =
+              Hit && FP && FP->shouldFire(FaultSite::ForceMispredict);
+          SlotBad = !Hit || ForceReexec;
+          if (!P || CmpThrew) {
+            // A failed prediction: the predictor threw (nothing was
+            // dispatched) or the comparator did (no trustworthy
+            // comparison; its exception never propagates from a
+            // speculative validation). The validator executes it below.
+            ++Stats.FailedPredictions;
+          } else if (SlotBad) {
+            ++Stats.Mispredictions;
+            if (Tr)
+              Tr->record(SpecEventKind::Mispredict, UI, 0, JobCtx);
+          }
+        }
+
+        // Cancel attempts whose input is already known wrong, then
+        // quiesce the slot. (Membership is final: chains into this slot
+        // originate from the previous slot, which was quiesced before we
+        // advanced, and their append happens-before that quiesce
+        // observed them done.) An attempt is acceptable only if it ran
+        // with the correct input, finished last in its slot (only then
+        // are its writes the final ones), and was neither cancelled nor
+        // *observed* cancellation — a spuriously cancelled or
+        // deadline-bailed body may have returned a partial value.
+        // Otherwise the validator re-executes, making its own writes
+        // final (condition (e)'s re-execution).
+        cancelSlot(K, ForceReexec ? nullptr : &Correct);
+        if (!quiesceSlot(K))
+          return;
+        if (Window.armed() && Ord > 0)
+          Window.push(SlotBad);
+
+        Attempt *Match = acceptableAttempt(K, ForceReexec, Correct);
+        std::optional<U> Local;
+        int64_t SegNs = 0;
+        if (Match) {
+          if (Tr)
+            Tr->record(SpecEventKind::ValidateAccept, UI, Match->TraceId,
+                       JobCtx);
+          if (Match->Err) {
+            FirstValidErr = Match->Err;
+            return;
+          }
+          Correct = *Match->Out;
+          Local = std::move(Match->Local);
+          SegNs = Match->BodyNs;
+        } else {
+          // Misprediction (or a stale valid run that was overwritten by a
+          // later garbage attempt): re-execute on the validator thread
+          // (rule CHECK's consumer re-execution). The slot is quiescent,
+          // so this execution's writes land last. Don't start an
+          // authoritative chunk we already have no budget for.
+          if (expired(UI))
+            return;
+          ++Stats.Reexecutions;
+          if (Tr)
+            Tr->record(SpecEventKind::Reexecute, UI, 0, JobCtx);
+          if (!execSegment(segBegin(K), segEnd(K), Correct, Local, SegNs))
+            return;
+        }
+        if (!finalizeSegment(UI, *Local))
+          return;
+        if (Tuner.measuring())
+          Tuner.note(SegNs, Ord > 0, SlotBad);
+      }
+    }
 
     /// Loads slot item \p I, riding out a chainer's reserve-to-publish
     /// window. Returns nullptr only if the reservation was released.
@@ -1935,39 +1923,22 @@ private:
       return A;
     }
 
-    /// Cancels every attempt in slot \p K (telemetry: a Cancel event per
+    /// Cancels slot \p K's attempts — every one, or with \p Correct only
+    /// those whose input differs from it (telemetry: a Cancel event per
     /// attempt that was neither done nor already cancelled).
-    void cancelSlot(int64_t K, int64_t UI) {
+    void cancelSlot(int64_t K, const T *Correct = nullptr) {
       Slot &S = Slots[static_cast<size_t>(K)];
       const int C = S.Count.load(std::memory_order_acquire);
       for (int I = 0; I < C; ++I) {
         Attempt *A = slotItem(S, I);
-        if (!A)
+        bool InCmpThrew = false;
+        if (!A ||
+            (Correct && guardedEqual(Equal, FP, *A->In, *Correct, InCmpThrew)))
           continue;
         if (Tr && !A->Done.load(std::memory_order_acquire) &&
             !A->CancelFlag.load(std::memory_order_acquire))
-          Tr->record(SpecEventKind::Cancel, UI, A->TraceId, JobCtx);
+          Tr->record(SpecEventKind::Cancel, userIdx(K), A->TraceId, JobCtx);
         A->CancelFlag.store(true, std::memory_order_seq_cst);
-      }
-    }
-
-    /// Cancels slot \p K's attempts whose input is already known wrong.
-    void sweepSlot(int64_t K, int64_t UI, bool ForceReexec,
-                   const T &Correct) {
-      Slot &S = Slots[static_cast<size_t>(K)];
-      const int C = S.Count.load(std::memory_order_acquire);
-      for (int I = 0; I < C; ++I) {
-        Attempt *A = slotItem(S, I);
-        if (!A)
-          continue;
-        bool InCmpThrew = false;
-        if (ForceReexec ||
-            !guardedEqual(Equal, FP, *A->In, Correct, InCmpThrew)) {
-          if (Tr && !A->Done.load(std::memory_order_acquire) &&
-              !A->CancelFlag.load(std::memory_order_acquire))
-            Tr->record(SpecEventKind::Cancel, UI, A->TraceId, JobCtx);
-          A->CancelFlag.store(true, std::memory_order_seq_cst);
-        }
       }
     }
 
@@ -2000,7 +1971,8 @@ private:
 
     /// Waits until every attempt in slot \p K is done, choosing between
     /// helping the executor drain tasks and parking on the run's
-    /// eventcount. Returns false if the deadline expired first.
+    /// eventcount. Returns false, with the run timed out, if the deadline
+    /// expired first.
     ///
     /// Help-vs-park policy. Helping only makes progress on attempts
     /// still sitting in an executor queue, and it is mandatory for
@@ -2033,7 +2005,7 @@ private:
       for (;;) {
         if (slotAllDone(K))
           return true;
-        if (HasDeadline && Clock::now() >= Deadline)
+        if (expired(userIdx(K)))
           return false;
         const bool Eager =
             OnWorker || !Run.ForeignClaim.load(std::memory_order_relaxed);
@@ -2061,9 +2033,9 @@ private:
     /// The attempt the validator may accept for slot \p K, or nullptr:
     /// the last attempt that actually executed (skipped correctives —
     /// cancelled before they were launched — wrote nothing and don't
-    /// count),
-    /// provided it ran with the correct input and was neither cancelled
-    /// nor observed cancellation. The slot is quiesced when called.
+    /// count), provided it ran with the correct input and was neither
+    /// cancelled nor observed cancellation. The slot is quiesced when
+    /// called.
     Attempt *acceptableAttempt(int64_t K, bool ForceReexec,
                                const T &Correct) {
       Slot &S = Slots[static_cast<size_t>(K)];
@@ -2090,147 +2062,7 @@ private:
       return LastReal;
     }
 
-    /// Runs segment [B, E) in order on the calling thread (degraded
-    /// mode). Returns false when a body or finalizer exception aborts
-    /// the run (recorded in FirstValidErr).
-    bool degradedSegment(int64_t B, int64_t E, int64_t UI, T &Correct) {
-      ++Stats.DegradedChunks;
-      if (Tr)
-        Tr->record(SpecEventKind::Degrade, UI, 0, JobCtx);
-      std::optional<U> DegradedLocal;
-      try {
-        if (FP)
-          FP->maybeThrow(FaultSite::BodyThrow);
-        U L = Init();
-        T Acc = std::move(Correct);
-        for (int64_t I = B; I < E; ++I)
-          Acc = Body(I, L, std::move(Acc));
-        Correct = std::move(Acc);
-        DegradedLocal = std::move(L);
-      } catch (...) {
-        FirstValidErr = std::current_exception();
-        return false;
-      }
-      try {
-        Finalize(UI, *DegradedLocal);
-        if (Tr)
-          Tr->record(SpecEventKind::Finalize, UI, 0, JobCtx);
-      } catch (...) {
-        FirstValidErr = std::current_exception();
-        return false;
-      }
-      return true;
-    }
-
-    //===---------------- wave teardown / autotune -----------------------===//
-
-    /// Returns every attempt of the (fully validated, quiesced) wave to
-    /// its freelist and clears the slots.
-    void recycleWave() {
-      for (int64_t K = 0; K < WaveCount; ++K) {
-        Slot &S = Slots[static_cast<size_t>(K)];
-        const int C = S.Count.load(std::memory_order_acquire);
-        for (int I = 0; I < C; ++I) {
-          Attempt *A = S.Items[I].load(std::memory_order_acquire);
-          if (!A)
-            continue;
-          if (A->FromChainPool) {
-            std::lock_guard<std::mutex> Lock(ChainPoolM);
-            ChainPool.push_back(A);
-          } else {
-            FreeLocal.push_back(A);
-          }
-        }
-        S.Items[0].store(nullptr, std::memory_order_relaxed);
-        S.Items[1].store(nullptr, std::memory_order_relaxed);
-        S.Count.store(0, std::memory_order_relaxed);
-      }
-      WaveCount = 0;
-    }
-
-    /// The adaptive chunk controller, run between waves: halve the chunk
-    /// when the wave mispredicted badly (smaller chunks re-validate
-    /// sooner) or when bodies overshoot the target (lost parallelism);
-    /// double it when bodies run far under the target (per-attempt
-    /// overhead dominating).
-    void autotuneAdjust() {
-      if (WaveMeasured == 0)
-        return;
-      const double AvgNs = static_cast<double>(WaveNs) / WaveMeasured;
-      // The auto attempt budget rides the same measurements: an EWMA of
-      // per-segment latency, scaled by the configured multiplier, with a
-      // 1 ms floor so scheduling noise on tiny chunks can never trip
-      // the watchdog.
-      if (BudgetAutoMult > 0) {
-        BudgetEwmaNs =
-            BudgetEwmaNs == 0
-                ? static_cast<int64_t>(AvgNs)
-                : (3 * BudgetEwmaNs + static_cast<int64_t>(AvgNs)) / 4;
-        CurBudgetNs.store(
-            std::max<int64_t>(1000 * 1000,
-                              static_cast<int64_t>(
-                                  BudgetAutoMult *
-                                  static_cast<double>(BudgetEwmaNs))),
-            std::memory_order_relaxed);
-      }
-      if (AutoTargetNs > 0) {
-        const double BadRate =
-            WaveBoundaries > 0
-                ? static_cast<double>(WaveBad) / WaveBoundaries
-                : 0.0;
-        int64_t NewChunk = CurChunk;
-        if (BadRate > 0.5)
-          NewChunk = CurChunk / 2;
-        else if (AvgNs < static_cast<double>(AutoTargetNs) / 2)
-          NewChunk = CurChunk * 2;
-        else if (AvgNs > static_cast<double>(AutoTargetNs) * 2)
-          NewChunk = CurChunk / 2;
-        NewChunk = std::max<int64_t>(1, std::min(NewChunk, MaxChunk));
-        if (NewChunk != CurChunk) {
-          CurChunk = NewChunk;
-          // Telemetry: the event's index is the *new* chunk size, so a
-          // trace shows the size trajectory. 0 attempt id: this is a
-          // run-level decision, not tied to an attempt.
-          if (Tr)
-            Tr->record(SpecEventKind::Autotune, CurChunk, 0, JobCtx);
-        }
-      }
-      WaveNs = 0;
-      WaveMeasured = 0;
-      WaveBad = 0;
-      WaveBoundaries = 0;
-    }
-
-    //===---------------- profile-guided prediction ----------------------===//
-
-    /// Warm-start from the profile store, called once at run start:
-    /// seeds the initial chunk size from the site's converged value
-    /// (autotuned chunked runs only) and the starting predictor
-    /// candidate from historical hit rates. One ProfileSeed trace event
-    /// and one ProfileSeeds count per warm run.
-    void profileSeed() {
-      int64_t SeededChunk = 0;
-      if (OrdinalIndices && AutoTargetNs > 0) {
-        const int64_t SC = Prof->seedChunk(*SiteName);
-        if (SC > 0) {
-          CurChunk = std::min(std::max<int64_t>(1, SC), MaxChunk);
-          SeededChunk = CurChunk;
-        }
-      }
-      int BestId = detail::candidateId(Prof->bestPredictor(*SiteName));
-      // A stride recommendation is only honourable when T supports it.
-      if (BestId == detail::CandStride && !std::is_arithmetic_v<T>)
-        BestId = -1;
-      if (BestId >= 0)
-        ActiveCand = BestId;
-      CandTried[static_cast<size_t>(ActiveCand)] = true;
-      if (SeededChunk > 0 || BestId >= 0) {
-        ++Stats.ProfileSeeds;
-        if (Tr)
-          Tr->record(SpecEventKind::ProfileSeed, SeededChunk,
-                     static_cast<uint64_t>(ActiveCand), JobCtx);
-      }
-    }
+    //===---------------- stride candidate (T-dependent) -----------------===//
 
     /// Feeds one validated (iteration index, loop-carried value)
     /// observation to the stride extrapolator (arithmetic T only).
@@ -2268,56 +2100,9 @@ private:
       }
     }
 
-    /// The candidate to switch to at a degrade trip, or -1 to degrade:
-    /// the untried candidate with the best hit rate *this run*, provided
-    /// it has enough samples to mean anything and is hitting a majority
-    /// — switching to a coin flip would only defer the fallback.
-    int pickSwitchCandidate() const {
-      int Best = -1;
-      double BestRate = 0.5;
-      for (int C = 0; C < detail::NumCandidates; ++C) {
-        if (CandTried[static_cast<size_t>(C)])
-          continue;
-        const int64_t N = CandHits[static_cast<size_t>(C)] +
-                          CandMiss[static_cast<size_t>(C)];
-        if (N < 4)
-          continue;
-        const double Rate =
-            static_cast<double>(CandHits[static_cast<size_t>(C)]) / N;
-        if (Rate > BestRate) {
-          BestRate = Rate;
-          Best = C;
-        }
-      }
-      return Best;
-    }
-
-    /// Folds the run's observations back into the store, called once at
-    /// run end on every exit path (by then the counters are final).
-    void profileRecord() {
-      ProfileStore::RunObservation Obs;
-      Obs.FinalChunk =
-          (OrdinalIndices && AutoTargetNs > 0) ? CurChunk : 0;
-      Obs.DegradeTrips = RunDegradeTrips;
-      Obs.PredictorSwitches = Stats.PredictorSwitches;
-      Obs.Predictions = Stats.Predictions;
-      Obs.BadPredictions = Stats.Mispredictions + Stats.FailedPredictions;
-      for (int C = 0; C < detail::NumCandidates; ++C) {
-        const int64_t H = CandHits[static_cast<size_t>(C)];
-        const int64_t Ms = CandMiss[static_cast<size_t>(C)];
-        if (H + Ms > 0)
-          Obs.Predictors.emplace_back(detail::candidateName(C),
-                                      PredictorProfile{H, Ms});
-      }
-      Prof->recordRun(*SiteName, Obs);
-    }
-
     //===---------------- state ------------------------------------------===//
 
-    const int64_t Low, High;
-    int64_t CurChunk;
-    const bool OrdinalIndices;
-    const int64_t AutoTargetNs;
+    const int64_t Low, High, IndexBase;
     InitFn &Init;
     BodyFn &Body;
     PredictorFn &Predictor;
@@ -2334,67 +2119,36 @@ private:
     const std::chrono::nanoseconds CfgDeadline;
     const Clock::time_point Deadline;
     const bool HasDeadline;
-    const double DegradeThresh;
-    const int DegradeWindow;
-    /// Profile-guided prediction (armed iff a store *and* a site name
-    /// are configured; everything below is untouched otherwise).
-    ProfileStore *const Prof;
-    const std::string *const SiteName;
-    const bool ProfOn;
     const int64_t W;
-    /// Crash containment (SpecConfig::shield() / attemptBudget()). The
-    /// effective per-attempt budget workers read is CurBudgetNs: the
-    /// explicit budget when one is configured, else the auto budget the
-    /// validator derives from the observed chunk-latency EWMA (0 until
-    /// the first measured wave lands).
+    /// Crash containment (SpecConfig::shield() / attemptBudget()); the
+    /// budget workers arm is Tuner.budgetNs().
     const bool Shield;
-    const int64_t BudgetNsCfg;
-    const double BudgetAutoMult; ///< 0 when an explicit budget wins.
-    /// Body timing feeds the chunk autotuner and/or the auto budget;
-    /// either consumer turns the measurements on.
-    const bool MeasureBody;
-    std::atomic<int64_t> CurBudgetNs{0};
-    int64_t BudgetEwmaNs = 0; ///< Validator-only latency EWMA.
-    int64_t MaxChunk = 1;
+    detail::ChunkTuner Tuner;
+    detail::BadRateWindow Window;
+    detail::CandidateTally Cands;
 
     detail::SegRunSync Run;
-    /// 3W pooled attempts: [0, W) seed the validator's freelist, the
-    /// rest the chainers' shared pool.
-    std::vector<Attempt> AttemptStore;
-    std::vector<Attempt *> FreeLocal; // validator-owned
-    std::mutex ChainPoolM;            // guards ChainPool (chainers race)
-    std::vector<Attempt *> ChainPool;
     std::vector<Slot> Slots;
 
     /// Current wave plan (validator-written before dispatch, read-only
-    /// for workers during the wave).
+    /// for workers during the wave). Segment K of the wave covers
+    /// [segBegin(K), segEnd(K)) and has ordinal WaveOrd0 + K.
     std::vector<std::optional<T>> WavePred;
-    std::vector<int64_t> WaveB, WaveE, WaveUser;
     /// Per-segment candidate predictions (profile-guided runs only;
     /// validator-only — workers never read the shadow candidates).
     std::vector<std::array<std::optional<T>, detail::NumCandidates>>
         WaveCand;
     int64_t WaveCount = 0;
     int64_t WaveOrd0 = 0;
+    int64_t WaveB0 = 0;
 
-    /// Candidate accounting for this run (validator only). The stride
-    /// extrapolator's observation storage collapses to a char when T is
-    /// not arithmetic (the candidate is then never engaged).
-    int ActiveCand = detail::CandUser;
-    std::array<bool, detail::NumCandidates> CandTried{};
-    std::array<int64_t, detail::NumCandidates> CandHits{};
-    std::array<int64_t, detail::NumCandidates> CandMiss{};
-    int64_t RunDegradeTrips = 0;
+    /// The stride extrapolator's observations; the value storage
+    /// collapses to a char when T is not arithmetic (the candidate is
+    /// then never engaged).
     bool HaveObs = false, HaveTwoObs = false;
     int64_t ObsIdx1 = 0, ObsIdx0 = 0;
     std::conditional_t<std::is_arithmetic_v<T>, T, char> ObsVal1{},
         ObsVal0{};
-
-    /// Autotune accumulators (current wave).
-    int64_t WaveNs = 0;
-    int64_t WaveMeasured = 0;
-    int64_t WaveBad = 0;
-    int64_t WaveBoundaries = 0;
 
     /// Run outcome flags (validator only).
     bool Degraded = false;

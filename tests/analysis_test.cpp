@@ -49,6 +49,59 @@ TEST(SymExpr, Substitution) {
   EXPECT_EQ(E.substitute(&I, SymExpr::constant(10)).str(), "11");
 }
 
+// Speculate integers wrap, so a bound that leaves the int64_t range says
+// nothing about the value: the arithmetic must neither wrap nor overflow
+// (undefined behaviour), and an interval holding such a bound is the full
+// range.
+TEST(SymExpr, OverflowingBoundsBecomeUnbounded) {
+  Binding I{"i", 0};
+  const SymExpr V = SymExpr::variable(&I);
+  const SymExpr Max = SymExpr::constant(INT64_MAX);
+  const SymExpr Min = SymExpr::constant(INT64_MIN);
+  const SymExpr One = SymExpr::constant(1);
+  // Constants.
+  EXPECT_FALSE((Max + One).isFinite());
+  EXPECT_FALSE((Min - One).isFinite());
+  EXPECT_FALSE((SymExpr::constant(0) - Min).isFinite());
+  EXPECT_FALSE(SymExpr::mul(Max, SymExpr::constant(2))->isFinite());
+  EXPECT_FALSE(SymExpr::mul(Min, SymExpr::constant(-1))->isFinite());
+  EXPECT_FALSE(Max.differenceFrom(Min));
+  EXPECT_FALSE(Min.differenceFrom(Max));
+  // Coefficients.
+  const SymExpr MaxI = *SymExpr::mul(Max, V);
+  const SymExpr MinI = *SymExpr::mul(Min, V);
+  EXPECT_FALSE((MaxI + V).isFinite());
+  EXPECT_FALSE((V - MinI).isFinite());
+  EXPECT_FALSE(SymExpr::mul(SymExpr::constant(2), MaxI)->isFinite());
+  EXPECT_FALSE(MaxI.substitute(&I, SymExpr::constant(2)).isFinite());
+  EXPECT_FALSE(V.substitute(&I, MinI - V).isFinite());
+  // An overflowed expression stays overflowed, never an infinity.
+  EXPECT_FALSE((Max + One - Max).isFinite());
+  EXPECT_FALSE((Max + One + SymExpr::posInf()).isPosInf());
+  // Results inside the range stay exact.
+  EXPECT_EQ((Max + SymExpr::constant(-1)).str(), "9223372036854775806");
+  EXPECT_EQ((Min + Max).str(), "-1");
+  EXPECT_EQ(*Max.differenceFrom(Max), 0);
+  EXPECT_EQ((MaxI + MinI).str(), "-1*i");
+
+  // Intervals with an overflowed bound are the full range.
+  const SymInterval PMax = SymInterval::point(Max);
+  const SymInterval PMin = SymInterval::point(Min);
+  const SymInterval POne = SymInterval::point(One);
+  EXPECT_EQ(PMax + POne, SymInterval::full());
+  EXPECT_EQ(PMin - POne, SymInterval::full());
+  EXPECT_EQ(SymInterval::mul(PMin, SymInterval::point(SymExpr::constant(-1))),
+            SymInterval::full());
+  EXPECT_EQ(SymInterval::mul(SymInterval::of(SymExpr::constant(0), Max),
+                             SymInterval::point(SymExpr::constant(3))),
+            SymInterval::full());
+  EXPECT_EQ(SymInterval::point(MaxI).substitute(&I, SymExpr::constant(2)),
+            SymInterval::full());
+  EXPECT_TRUE(SymInterval::mayOverlap(PMax + POne, SymInterval::point(Min)));
+  EXPECT_EQ(PMax + SymInterval::point(SymExpr::constant(-1)),
+            SymInterval::point(SymExpr::constant(INT64_MAX - 1)));
+}
+
 TEST(SymInterval, SymbolicDisjointness) {
   Binding I{"i", 0};
   SymExpr V = SymExpr::variable(&I);

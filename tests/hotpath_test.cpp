@@ -277,45 +277,58 @@ TEST(ExecutorStealStorm, HelpingReentryInsideTasksIsSafe) {
 // Zero steady-state allocations per chunk
 //===----------------------------------------------------------------------===//
 
-// The headline contract of the pooled attempt lifecycle: once a run is in
-// steady state (pools warmed, executor rings allocated), iterating 10^4+
-// chunks performs zero heap allocations — attempts recycle through the
-// per-run pool, thunks fit TaskRef's inline storage, and the executor's
-// injection ring and task slots recirculate.
+// The headline contract of the slot-owned attempt lifecycle: once a run
+// is in steady state (executor rings allocated), iterating 10^4+ chunks
+// performs zero heap allocations — attempts are reset in place in their
+// wave slots, thunks fit TaskRef's inline storage, and the executor's
+// injection ring and task slots recirculate. Par mode runs with a
+// predictor that is wrong at every 7th chunk, so correctives are chained
+// into the next slot inside the counting window.
 TEST(ZeroAlloc, SteadyStateChunkIterationDoesNotTouchTheHeap) {
   SpecExecutor Ex(2);
   const int64_t N = 20000;
+  const int64_t Chunk = 4;
 
-  auto RunOnce = [&] {
-    return Speculation::iterateChunked<int64_t>(
-        0, N, /*ChunkSize=*/4,
-        [](int64_t I, int64_t Acc) { return Acc + I; },
-        [](int64_t I) { return I * (I - 1) / 2; },
-        SpecConfig().executor(Ex));
-  };
-  // Warm-up run: slab allocations, ring growth, lazy libc init.
-  const SpecResult<int64_t> Warm = RunOnce();
-  EXPECT_EQ(Warm.Value, N * (N - 1) / 2);
+  for (ValidationMode Mode : {ValidationMode::Seq, ValidationMode::Par}) {
+    const bool Par = Mode == ValidationMode::Par;
+    SCOPED_TRACE(Par ? "Par" : "Seq");
+    auto Predictor = [Par, Chunk](int64_t I) {
+      const int64_t Exact = I * (I - 1) / 2;
+      return Par && I > 0 && (I / Chunk) % 7 == 0 ? Exact + 1 : Exact;
+    };
+    const SpecConfig Cfg = SpecConfig().executor(Ex).mode(Mode);
+    auto RunOnce = [&] {
+      return Speculation::iterateChunked<int64_t>(
+          0, N, Chunk, [](int64_t I, int64_t Acc) { return Acc + I; },
+          Predictor, Cfg);
+    };
+    // Warm-up run: slab allocations, ring growth, lazy libc init.
+    const SpecResult<int64_t> Warm = RunOnce();
+    EXPECT_EQ(Warm.Value, N * (N - 1) / 2);
 
-  // Measured run: count allocations over the middle 60% of the
-  // iteration space (the engine's own setup/teardown sits outside the
-  // window).
-  const int64_t Mark = GAllocCount.load();
-  auto R = Speculation::iterateChunked<int64_t>(
-      0, N, /*ChunkSize=*/4,
-      [N](int64_t I, int64_t Acc) {
-        if (I == N / 5)
-          GCountAllocs.store(true, std::memory_order_relaxed);
-        if (I == (4 * N) / 5)
-          GCountAllocs.store(false, std::memory_order_relaxed);
-        return Acc + I;
-      },
-      [](int64_t I) { return I * (I - 1) / 2; }, SpecConfig().executor(Ex));
-  GCountAllocs.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(R.Value, N * (N - 1) / 2);
-  EXPECT_EQ(R.Stats.Tasks, N / 4);
-  EXPECT_EQ(allocsSinceMark(Mark), 0)
-      << "steady-state chunk iteration allocated";
+    // Measured run: count allocations over the middle 60% of the
+    // iteration space (the engine's own setup/teardown sits outside the
+    // window).
+    const int64_t Mark = GAllocCount.load();
+    auto R = Speculation::iterateChunked<int64_t>(
+        0, N, Chunk,
+        [N](int64_t I, int64_t Acc) {
+          if (I == N / 5)
+            GCountAllocs.store(true, std::memory_order_relaxed);
+          if (I == (4 * N) / 5)
+            GCountAllocs.store(false, std::memory_order_relaxed);
+          return Acc + I;
+        },
+        Predictor, Cfg);
+    GCountAllocs.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(R.Value, N * (N - 1) / 2);
+    if (Par)
+      EXPECT_GT(R.Stats.Tasks, N / Chunk) << "no corrective was chained";
+    else
+      EXPECT_EQ(R.Stats.Tasks, N / Chunk);
+    EXPECT_EQ(allocsSinceMark(Mark), 0)
+        << "steady-state chunk iteration allocated";
+  }
 }
 
 // The same contract for apply(): the attempt record lives on the
