@@ -45,33 +45,59 @@ LexRun specpar::apps::speculativeLex(const Lexer &L, std::string_view Text,
   rt::SpecConfig RunCfg = Cfg;
   RunCfg.statsOut(&Run.Stats);
 
-  rt::SpecResult<LexState> R =
-      rt::Speculation::iterateChunkedLocal<LexState, std::vector<Token>>(
-          0, NumSub, kLexChunkSize,
-          /*Init=*/[] { return std::vector<Token>(); },
-          /*Body=*/
-          [&](int64_t I, std::vector<Token> &Local, LexState In) {
-            // Cooperative cancellation between sub-fragments: an attempt
-            // that observed cancellation is never accepted, so bailing
-            // with the unprocessed state is safe and stops wasted work.
-            if (rt::currentTaskCancelled())
-              return In;
-            return L.lexRange(Text, Bound(I), Bound(I + 1), In, &Local);
-          },
-          /*Predictor=*/
-          [&](int64_t I) {
-            if (I == 0)
-              return L.initialState(0);
-            return L.predictStateAt(Text, Bound(I), Overlap);
-          },
-          /*Finalize=*/
-          [&Run](int64_t, std::vector<Token> &Local) {
-            Run.Tokens.insert(Run.Tokens.end(), Local.begin(), Local.end());
-          },
-          RunCfg);
+  // A chunk's tokens, and whether the chunk lexed the input's last
+  // sub-fragment (its body then flushed the trailing in-flight token).
+  struct Part {
+    std::vector<Token> Tokens;
+    bool Last = false;
+  };
+  // Validated chunks' token vectors, moved in by the finalizers in order.
+  // The last chunk's finalizer concatenates them once into Run.Tokens at
+  // its exact size: merging chunk by chunk into one growing vector would
+  // re-copy (and page-fault) everything merged so far at each doubling,
+  // all of it on the validator's serial path.
+  std::vector<std::vector<Token>> Parts;
+  Parts.reserve(static_cast<size_t>(NumTasks));
 
-  // Flush the trailing in-flight token of the final segment.
-  L.finishLex(Text, R.Value, &Run.Tokens);
+  rt::Speculation::iterateChunkedLocal<LexState, Part>(
+      0, NumSub, kLexChunkSize,
+      /*Init=*/[] { return Part(); },
+      /*Body=*/
+      [&](int64_t I, Part &Local, LexState In) {
+        // Cooperative cancellation between sub-fragments: an attempt
+        // that observed cancellation is never accepted, so bailing
+        // with the unprocessed state is safe and stops wasted work.
+        if (rt::currentTaskCancelled())
+          return In;
+        LexState Out =
+            L.lexRange(Text, Bound(I), Bound(I + 1), In, &Local.Tokens);
+        if (I + 1 == NumSub) {
+          L.finishLex(Text, Out, &Local.Tokens);
+          Local.Last = true;
+        }
+        return Out;
+      },
+      /*Predictor=*/
+      [&](int64_t I) {
+        if (I == 0)
+          return L.initialState(0);
+        return L.predictStateAt(Text, Bound(I), Overlap);
+      },
+      /*Finalize=*/
+      [&](int64_t, Part &Local) {
+        Parts.push_back(std::move(Local.Tokens));
+        if (!Local.Last)
+          return;
+        size_t Total = 0;
+        for (const std::vector<Token> &P : Parts)
+          Total += P.size();
+        Run.Tokens.reserve(Total);
+        for (const std::vector<Token> &P : Parts)
+          Run.Tokens.insert(Run.Tokens.end(), P.begin(), P.end());
+        // Free the parts here too, inside the run's traced span.
+        Parts.clear();
+      },
+      RunCfg);
   return Run;
 }
 

@@ -567,14 +567,43 @@ template <typename T, typename U> struct SegAttempt {
   /// mid-run: its output may be a partial bail-out value and must never
   /// be accepted.
   std::atomic<bool> ObservedCancel{false};
-  /// Set when a thread claims the attempt and enters runAttempt. Drives
-  /// the validator's help-vs-park choice: helping only makes progress on
-  /// attempts still sitting in an executor queue — once every pending
-  /// attempt of a slot is running on some thread, draining unrelated
-  /// queued work would only delay the validate/finalize pipeline behind
-  /// arbitrary later attempts.
-  std::atomic<bool> Started{false};
+  /// Who runs this attempt. The low two bits are its state — reset,
+  /// queued in the executor, or claimed by the thread running it — and
+  /// the rest counts resets, so a ticket names one dispatch of this
+  /// storage. Each dispatch submits one task, which runs the body only
+  /// if it wins the claim: the validator may claim a queued attempt of
+  /// the slot it waits on and run it inline (see quiesceSlot), and the
+  /// task then loses and only retires. A stale ticket never matches a
+  /// later dispatch of the same storage.
+  std::atomic<uint64_t> Claim{0};
   std::atomic<bool> Done{false};
+
+  static constexpr uint64_t StateMask = 3, Queued = 1;
+
+  /// Starts a new dispatch: a fresh epoch, not yet submitted.
+  void resetClaim() {
+    Claim.store((Claim.load(std::memory_order_relaxed) | StateMask) + 1,
+                std::memory_order_relaxed);
+  }
+  /// Marks the attempt queued; returns the ticket its task claims with.
+  uint64_t enqueue() {
+    const uint64_t Ticket = Claim.load(std::memory_order_relaxed) | Queued;
+    Claim.store(Ticket, std::memory_order_seq_cst);
+    return Ticket;
+  }
+  /// Claims the dispatch \p Ticket names; false if another thread did,
+  /// or the storage was reset since.
+  bool claim(uint64_t Ticket) {
+    return Claim.compare_exchange_strong(Ticket, Ticket + 1,
+                                         std::memory_order_seq_cst);
+  }
+  /// This dispatch's ticket if it sits unclaimed in an executor queue.
+  std::optional<uint64_t> queuedTicket() const {
+    const uint64_t C = Claim.load(std::memory_order_seq_cst);
+    if ((C & StateMask) != Queued)
+      return std::nullopt;
+    return C;
+  }
 };
 
 /// A wave slot: the initial attempt plus at most one Par-mode corrective,
@@ -651,6 +680,10 @@ struct SegRunSync {
   /// run's (non-atomic) SpeculationStats, so they count here and
   /// retire() merges them.
   std::atomic<int64_t> ChainedTasks{0};
+  /// Attempts the validator claimed and ran inline whose tasks have not
+  /// yet been popped (they only retire). Incremented by the validator,
+  /// decremented by the losing task before its attemptFinished().
+  std::atomic<int64_t> Stale{0};
   /// Shield containments and watchdog escalations, counted by workers
   /// (same rule as ChainedTasks: never the non-atomic stats) and merged
   /// by retire().
@@ -1484,6 +1517,14 @@ private:
       // the wave starts in the validator's eager helping mode (see
       // quiesceSlot).
       Run.ForeignClaim.store(false, std::memory_order_relaxed);
+      // Tasks of attempts this thread ran inline may still sit in
+      // executor queues. Retire them before queueing more, so the run
+      // never has more than one wave's tasks queued however slowly the
+      // workers pop them.
+      detail::helpingWait(
+          Ex, Run.EC,
+          [this] { return Run.Stale.load(std::memory_order_seq_cst) == 0; },
+          [] { return true; });
       for (int64_t K = 0; K < WaveCount; ++K) {
         Slot &S = Slots[static_cast<size_t>(K)];
         S.Items[1].store(nullptr, std::memory_order_relaxed);
@@ -1526,7 +1567,7 @@ private:
       A->Crashed = false;
       A->CancelFlag.store(false, std::memory_order_relaxed);
       A->ObservedCancel.store(false, std::memory_order_relaxed);
-      A->Started.store(false, std::memory_order_relaxed);
+      A->resetClaim();
       A->Done.store(false, std::memory_order_relaxed);
       A->Successor.store(nullptr, std::memory_order_relaxed);
       A->TraceId = Tr ? Tr->newAttemptId() : 0;
@@ -1596,8 +1637,13 @@ private:
 
     //===---------------- the worker-side attempt ------------------------===//
 
-    void attemptTask(Attempt *A) {
-      runAttempt(A);
+    /// The executor task of one dispatch. It loses the claim when the
+    /// validator ran the attempt inline first, and then only retires.
+    void attemptTask(Attempt *A, uint64_t Ticket) {
+      if (A->claim(Ticket))
+        runAttempt(A);
+      else
+        Run.Stale.fetch_sub(1, std::memory_order_seq_cst);
       Run.attemptFinished();
     }
 
@@ -1608,9 +1654,6 @@ private:
     /// same locations concurrently; it skips its body if it was
     /// cancelled meanwhile.
     void runAttempt(Attempt *A) {
-      // The attempt is now driven by this thread, so the validator no
-      // longer needs to help on its behalf.
-      A->Started.store(true, std::memory_order_seq_cst);
       if (std::this_thread::get_id() != Run.ValidatorId)
         Run.ForeignClaim.store(true, std::memory_order_relaxed);
       bool Skip = false;
@@ -1706,9 +1749,10 @@ private:
     }
 
     void submitAttempt(Attempt *A) {
-      // The thunk captures two pointers — it fits TaskRef's inline
-      // storage, so a steady-state dispatch never allocates.
-      Ex.submit([this, A] { attemptTask(A); });
+      // The thunk captures two pointers and a ticket — it fits TaskRef's
+      // inline storage, so a steady-state dispatch never allocates.
+      const uint64_t Ticket = A->enqueue();
+      Ex.submit([this, A, Ticket] { attemptTask(A, Ticket); });
     }
 
     /// Submits corrective \p CA now if its predecessor's body is over;
@@ -1953,52 +1997,66 @@ private:
       return true;
     }
 
-    /// True if some attempt of slot \p K is still sitting in an executor
-    /// queue — published (or mid-publish) but not yet claimed by any
-    /// thread. Only those attempts can be advanced by helping.
-    bool slotHasUnstarted(int64_t K) {
+    /// Claims an attempt of slot \p K that sits unclaimed in an executor
+    /// queue, or returns nullptr. A corrective is queued only once its
+    /// predecessor's body is over, so running it here keeps attempts of
+    /// one segment apart.
+    Attempt *claimQueued(int64_t K) {
       Slot &S = Slots[static_cast<size_t>(K)];
       const int C = S.Count.load(std::memory_order_acquire);
       for (int I = 0; I < C; ++I) {
         Attempt *A = S.Items[I].load(std::memory_order_acquire);
-        // A reserved-but-unpublished item (null) is about to be
-        // submitted; treat it as unstarted so we never park on it.
-        if (!A || !A->Started.load(std::memory_order_seq_cst))
-          return true;
+        if (!A)
+          continue;
+        if (std::optional<uint64_t> Ticket = A->queuedTicket())
+          if (A->claim(*Ticket)) {
+            Run.Stale.fetch_add(1, std::memory_order_seq_cst);
+            return A;
+          }
       }
-      return false;
+      return nullptr;
     }
 
     /// Waits until every attempt in slot \p K is done, choosing between
-    /// helping the executor drain tasks and parking on the run's
-    /// eventcount. Returns false, with the run timed out, if the deadline
-    /// expired first.
+    /// running the slot's queued attempts inline and parking on the
+    /// run's eventcount. Returns false, with the run timed out, if the
+    /// deadline expired first.
     ///
-    /// Help-vs-park policy. Helping only makes progress on attempts
-    /// still sitting in an executor queue, and it is mandatory for
-    /// deadlock freedom when no worker will ever claim them (nested runs
-    /// occupying every worker, or all workers blocked in their own
-    /// waits). But helping also has a cost: a validator pinned inside an
-    /// arbitrary popped task cannot accept/finalize the segments it is
-    /// actually waiting for, and a body it runs allocates on *this*
-    /// thread's malloc arena — alternating bodies between the validator
-    /// and a worker makes their multi-megabyte scratch buffers bounce
-    /// between arenas, and glibc then returns them to the OS and
-    /// page-faults them back in every run. So:
+    /// The validator helps only slot \p K: it claims a queued attempt
+    /// of that slot (its task in the executor then loses the claim and
+    /// only retires) and never pops an arbitrary task. A popped task
+    /// could be a later slot's wrong-input attempt, which only this
+    /// thread would cancel — run inline here, it spins out its whole
+    /// budget. Claiming is also the liveness argument for nested runs
+    /// and for executors whose every worker is blocked: each attempt of
+    /// the slot is running on some thread, queued (the validator runs
+    /// it), or about to be queued by an attempt that is running.
     ///
-    ///  - On a worker thread (a nested run), help immediately: the
-    ///    nested attempts live in this thread's own deque and running
-    ///    them inline is both the fast path and the liveness argument.
-    ///  - On the run's validator thread, help eagerly only while no
+    /// Help-vs-park policy. Running an attempt inline has a cost: the
+    /// validator cannot accept/finalize the segments it waits for while
+    /// it runs one, and a body it runs allocates on *this* thread's
+    /// malloc arena — alternating bodies between the validator and a
+    /// worker makes their multi-megabyte scratch buffers bounce between
+    /// arenas, and glibc then returns them to the OS and page-faults
+    /// them back in every run. So:
+    ///
+    ///  - On a worker thread (a nested run), claim immediately: the
+    ///    nested attempts sit in this thread's own deque and running
+    ///    them inline is the fast path.
+    ///  - On the run's validator thread, claim eagerly only while no
     ///    other thread has claimed any of the wave's attempts — the
     ///    workers are still waking up (or the executor is saturated by
     ///    other runs), and inline execution beats a park/wake round
     ///    trip per wave.
-    ///  - Once a worker is actively claiming attempts, park, and help
+    ///  - Once a worker is actively claiming attempts, park, and claim
     ///    only after a full grace timeout finds the slot unchanged: a
     ///    parked validator never races an awake worker for a queued
     ///    attempt, so bodies stay on worker threads and the validator
     ///    accepts each segment the moment it completes.
+    ///
+    /// An attempt is queued by whoever dispatches it before that thread
+    /// retires through attemptFinished(), whose notify wakes a parked
+    /// validator.
     bool quiesceSlot(int64_t K) {
       const bool OnWorker = Ex.onWorkerThread();
       bool GracePassed = false;
@@ -2009,21 +2067,26 @@ private:
           return false;
         const bool Eager =
             OnWorker || !Run.ForeignClaim.load(std::memory_order_relaxed);
-        if ((Eager || GracePassed) && slotHasUnstarted(K) &&
-            Ex.tryRunOneTask()) {
-          GracePassed = false;
-          continue;
+        if (Eager || GracePassed) {
+          if (Attempt *A = claimQueued(K)) {
+            runAttempt(A);
+            GracePassed = false;
+            continue;
+          }
         }
         const uint64_t Ticket = Run.EC.prepareWait();
         if (slotAllDone(K)) {
           Run.EC.cancelWait();
           return true;
         }
-        if (Eager && slotHasUnstarted(K)) {
-          // A queued attempt appeared between the failed pop and the
-          // ticket — go back to helping instead of parking on it.
-          Run.EC.cancelWait();
-          continue;
+        if (Eager) {
+          // An attempt may have been queued after the failed claim: run
+          // it instead of parking on it.
+          if (Attempt *A = claimQueued(K)) {
+            Run.EC.cancelWait();
+            runAttempt(A);
+            continue;
+          }
         }
         if (!Run.EC.waitFor(Ticket, std::chrono::microseconds(500)))
           GracePassed = true;

@@ -15,6 +15,7 @@
 #include "apps/SpeculativeHuffman.h"
 #include "apps/SpeculativeLexing.h"
 #include "apps/SpeculativeMwis.h"
+#include "runtime/FaultPlan.h"
 #include "workloads/Datasets.h"
 #include "workloads/SourceGen.h"
 
@@ -124,6 +125,125 @@ TEST(AppsLexing, HtmlAccuracyStaysLowEvenAtLargeOverlap) {
   std::string Text = generateSource(Language::Html, 9, 60000);
   double A256 = lexPredictionAccuracy(LX, Text, 256);
   EXPECT_LT(A256, 90.0) << "long text-run tokens defeat the predictor";
+}
+
+// The speculative lexer's finalizers move each validated chunk's tokens
+// out, and the chunk that lexes the last sub-fragment flushes the
+// trailing in-flight token inside its body; its finalizer then assembles
+// the output once, at its exact size. These cases drive that last chunk
+// down every path that can produce it.
+void expectExactAssembly(const Lexer &LX, std::string_view Text,
+                         const LexRun &Run, const std::string &What) {
+  EXPECT_EQ(Run.Tokens, sequentialLex(LX, Text)) << What;
+  EXPECT_EQ(Run.Tokens.capacity(), Run.Tokens.size()) << What;
+}
+
+std::vector<std::string> unterminatedTails(Language L) {
+  switch (L) {
+  case Language::C:
+  case Language::Java:
+    return {"/* comment never closed", "\"string never closed", "ident_at_eof",
+            "x = 1.5e"};
+  case Language::Html:
+    return {"<!-- comment never closed", "<a href=\"never closed", "text"};
+  case Language::Latex:
+    return {"\\command", "$x^{", "word"};
+  }
+  return {};
+}
+
+TEST(AppsLexingAssembly, TrailingTokensAreFlushedByTheFinalChunk) {
+  for (Language L : AllLanguages) {
+    Lexer LX = makeLexer(L);
+    for (const std::string &Tail : unterminatedTails(L)) {
+      const std::string Text = generateSource(L, 5, 12000) + "\n" + Tail;
+      // finishLex must contribute tokens, or this case tests nothing.
+      std::vector<Token> NoFlush;
+      LX.lexRange(Text, 0, static_cast<int64_t>(Text.size()),
+                  LX.initialState(0), &NoFlush);
+      EXPECT_LT(NoFlush.size(), sequentialLex(LX, Text).size())
+          << languageName(L) << " tail '" << Tail << "'";
+      for (rt::ValidationMode M :
+           {rt::ValidationMode::Seq, rt::ValidationMode::Par})
+        for (int Tasks : {1, 4, 16}) {
+          LexRun Run = speculativeLex(LX, Text, Tasks, 64,
+                                      rt::SpecConfig().mode(M).threads(3));
+          expectExactAssembly(LX, Text, Run,
+                              std::string(languageName(L)) + " tail '" +
+                                  Tail + "' tasks=" + std::to_string(Tasks));
+        }
+    }
+  }
+}
+
+TEST(AppsLexingAssembly, AutotunedChunkBoundariesAssembleExactly) {
+  Lexer LX = makeLexer(Language::Java);
+  const std::string Text =
+      generateSource(Language::Java, 7, 200000) + "\n\"open string";
+  // A 1 us target halves chunks wave after wave; a 1 s target doubles
+  // them. Either way the final chunk's boundaries differ from the grid.
+  for (int64_t TargetUs : {int64_t(1), int64_t(1000000)}) {
+    LexRun Run = speculativeLex(
+        LX, Text, 64, 256, rt::SpecConfig().threads(3).autotune(TargetUs));
+    EXPECT_NE(Run.Stats.Spec.FinalChunk, kLexChunkSize)
+        << "target " << TargetUs << " us never resized the chunk";
+    expectExactAssembly(LX, Text, Run,
+                        "autotune " + std::to_string(TargetUs) + " us");
+  }
+}
+
+TEST(AppsLexingAssembly, ReexecutedFinalChunkAssemblesExactly) {
+  Lexer LX = makeLexer(Language::C);
+  const std::string Text = generateSource(Language::C, 9, 60000) + "\n/* open";
+  for (rt::ValidationMode M :
+       {rt::ValidationMode::Seq, rt::ValidationMode::Par}) {
+    // Every prediction point is forced to mispredict, so the validator
+    // re-executes every chunk after the first, the final one included.
+    rt::FaultPlan FP(3);
+    FP.arm(rt::FaultSite::ForceMispredict, 1.0);
+    const int Tasks = 8;
+    LexRun Run = speculativeLex(LX, Text, Tasks, 256,
+                                rt::SpecConfig().mode(M).threads(3).faults(&FP));
+    EXPECT_EQ(Run.Stats.Spec.Reexecutions, Tasks - 1);
+    expectExactAssembly(LX, Text, Run, "forced mispredictions");
+  }
+}
+
+TEST(AppsLexingAssembly, DegradedFinalChunkAssemblesExactly) {
+  Lexer LX = makeLexer(Language::Latex);
+  const std::string Text =
+      generateSource(Language::Latex, 13, 60000) + "\n$x^{";
+  // The first bad prediction point trips the monitor; the rest of the
+  // input, the final chunk included, runs sequentially on the validator.
+  rt::FaultPlan FP(4);
+  FP.arm(rt::FaultSite::ForceMispredict, 1.0);
+  LexRun Run = speculativeLex(
+      LX, Text, 16, 256,
+      rt::SpecConfig().threads(3).faults(&FP).degrade(0.0, 1));
+  EXPECT_GT(Run.Stats.Spec.DegradedChunks, 0);
+  expectExactAssembly(LX, Text, Run, "degraded");
+}
+
+TEST(AppsLexingAssembly, EmptySubFragmentsAssembleExactly) {
+  // N < NumTasks * kLexChunkSize: many sub-fragments are empty, and for
+  // the smallest inputs whole chunks are, the final one included.
+  for (Language L : AllLanguages) {
+    Lexer LX = makeLexer(L);
+    const std::string Source = generateSource(L, 17, 400);
+    for (size_t N : {size_t(1), size_t(7), size_t(63), size_t(200)})
+      for (int Tasks : {8, 32}) {
+        const std::string Text = Source.substr(0, N);
+        ASSERT_EQ(Text.size(), N);
+        if (static_cast<int64_t>(N) >= Tasks * kLexChunkSize)
+          continue;
+        LexRun Run =
+            speculativeLex(LX, Text, Tasks, 16, rt::SpecConfig().threads(3));
+        expectExactAssembly(LX, Text, Run,
+                            std::string(languageName(L)) + " N=" +
+                                std::to_string(N) +
+                                " tasks=" + std::to_string(Tasks));
+      }
+  }
 }
 
 TEST(AppsHuffman, MeasurementProducesSaneInputsForTheSimulator) {
